@@ -226,8 +226,11 @@ chaos:
 # high because ring ownership is a pure deterministic function the whole
 # sharded cluster agrees through — an untested arc is a silent
 # split-brain — and internal/slo because the SLO gate's own arithmetic
-# must not be the thing that lies about a regression.
-COVER_FLOORS := internal/arch:80 internal/cost:90 internal/cluster:80 internal/fleet:80 internal/wal:85 internal/telemetry:85 internal/shard:90 internal/slo:85
+# must not be the thing that lies about a regression. internal/serve is
+# floored because every request shape (plan, compare, fleet, sweep) rides
+# one flight path there — an untested branch of it is a coalescing,
+# drain or restart-warm bug on every endpoint at once.
+COVER_FLOORS := internal/arch:80 internal/cost:90 internal/cluster:80 internal/fleet:80 internal/wal:85 internal/telemetry:85 internal/shard:90 internal/slo:85 internal/serve:80
 
 cover:
 	@set -e; for spec in $(COVER_FLOORS); do \

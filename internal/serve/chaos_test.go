@@ -102,6 +102,31 @@ func decodeAPIError(t *testing.T, raw []byte) apiError {
 	return env.Error
 }
 
+// waitStoreLen blocks until st holds at least want persisted results,
+// failing the test after a deadline. A flight appends its result to the
+// WAL only after releasing its waiters, so a response can arrive before
+// the append lands; a test that simulates a crash or reopens the store
+// must wait here first, or it races the append (and a torn tail written
+// mid-append would interleave with it).
+func waitStoreLen(t *testing.T, st *Store, want int) {
+	t.Helper()
+	waitUntil(t, func() bool { return st.Len() >= want },
+		fmt.Sprintf("store never reached %d persisted results", want))
+}
+
+// waitUntil polls cond until it holds, failing the test with msg after a
+// deadline.
+func waitUntil(t *testing.T, cond func() bool, msg string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal(msg)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 // TestRestartWarmByteIdenticalAfterKill9 is the pinned restart-warm
 // proof from the issue's acceptance criteria: run real optimizations
 // against a stored service, crash it without any shutdown path (no
@@ -131,6 +156,7 @@ func TestRestartWarmByteIdenticalAfterKill9(t *testing.T) {
 		before[pr.Fingerprint] = pr.Plan
 	}
 	ts1.Close()
+	waitStoreLen(t, store, seeds)
 	// kill -9: no Close, no Drain, no compaction — the service object is
 	// simply abandoned — and the log gets the torn tail of an append that
 	// was cut mid-write.
@@ -221,13 +247,7 @@ func TestCrashReenqueuesJournaledJob(t *testing.T) {
 		}})
 	defer s2.Close()
 
-	deadline := time.Now().Add(5 * time.Second)
-	for store2.Len() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("re-enqueued job never persisted its result")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitStoreLen(t, store2, 1) // the re-enqueued job persists its result
 	if got := runs.Load(); got != 1 {
 		t.Errorf("restart ran the journaled job %d times, want 1", got)
 	}
@@ -387,19 +407,14 @@ func TestDrainDeadlineKeepsAsyncJobJournal(t *testing.T) {
 			return plan, nil
 		}})
 	defer s2.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for store2.Len() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("re-enqueued job never persisted its result")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitStoreLen(t, store2, 1) // the re-enqueued job persists its result
 	if got := runs.Load(); got != 1 {
 		t.Errorf("restart ran the drained job %d times, want 1", got)
 	}
-	if store2.wal.HasJob(kindPlan, jb.Fingerprint) {
-		t.Error("journal entry not cleared after the re-run completed")
-	}
+	// The job's waiter clears the journal after the result is released
+	// (and after the put record lands), so the clear is awaited too.
+	waitUntil(t, func() bool { return !store2.wal.HasJob(kindPlan, jb.Fingerprint) },
+		"journal entry not cleared after the re-run completed")
 }
 
 // TestWarmBootClearsSatisfiedJobJournal: a journal entry whose put
@@ -422,13 +437,7 @@ func TestWarmBootClearsSatisfiedJobJournal(t *testing.T) {
 	if _, _, _, err := s1.Plan(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for store.Len() == 0 { // persist runs after the flight's waiters wake
-		if time.Now().After(deadline) {
-			t.Fatal("completed plan never persisted")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitStoreLen(t, store, 1)
 	// Crash exactly between a job's journal append and its job_done:
 	// the put record and the journal entry both survive.
 	payload, err := json.Marshal(req)
@@ -565,5 +574,178 @@ func TestFaultInjectorDeterministicPerSeed(t *testing.T) {
 	_, errs, _ := a.Counts()
 	if errs == 0 {
 		t.Error("200 rolls at p=0.3 injected no errors; rng wiring broken")
+	}
+}
+
+// compareTestRequest is a fast two-fabric comparison for the compare
+// chaos tests.
+func compareTestRequest() CompareRequest {
+	return CompareRequest{
+		Model: topoopt.ModelSpec{Preset: "candle", Section: "6"},
+		Options: topoopt.Options{Servers: 8, Degree: 2, LinkBandwidth: 100e9,
+			Rounds: 1, MCMCIters: 10, Seed: 3},
+		Archs: []string{"TopoOpt", "Torus"},
+	}
+}
+
+// rawCompareResponse keeps a compare response's results as raw bytes
+// for byte-identity assertions.
+type rawCompareResponse struct {
+	Fingerprint string          `json:"fingerprint"`
+	Cached      bool            `json:"cached"`
+	Results     json.RawMessage `json:"results"`
+}
+
+func postCompare(t *testing.T, url string, req CompareRequest) rawCompareResponse {
+	t.Helper()
+	resp, raw := postJSON(t, url+"/v1/compare", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("compare status %d: %s", resp.StatusCode, raw)
+	}
+	var cr rawCompareResponse
+	if err := json.Unmarshal(raw, &cr); err != nil {
+		t.Fatalf("decoding compare response: %v", err)
+	}
+	return cr
+}
+
+// TestCompareRestartWarmByteIdenticalAfterKill9: a completed comparison
+// is appended to the WAL like any other flight result, so after a hard
+// crash (no Close, torn tail) the restarted daemon serves the identical
+// /v1/compare results as a cache hit without re-running the sweep.
+func TestCompareRestartWarmByteIdenticalAfterKill9(t *testing.T) {
+	dir := t.TempDir()
+	store, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1 := New(Config{Workers: 2, Store: store})
+	ts1 := httptest.NewServer(s1.Handler())
+	before := postCompare(t, ts1.URL, compareTestRequest())
+	if before.Cached {
+		t.Fatal("first comparison should not be cached")
+	}
+	ts1.Close()
+	waitStoreLen(t, store, 1)
+	if got := s1.Metrics().Optimizations; got != 1 {
+		t.Errorf("optimizations = %d after one comparison, want 1", got)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, wal.LogName), os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0x2a, 0x00, 0x00}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	store2, err := OpenStore(dir)
+	if err != nil {
+		t.Fatalf("reopening store after crash: %v", err)
+	}
+	s2 := New(Config{Workers: 2, Store: store2})
+	defer s2.Close()
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	after := postCompare(t, ts2.URL, compareTestRequest())
+	if !after.Cached {
+		t.Error("comparison after restart not served from cache")
+	}
+	if after.Fingerprint != before.Fingerprint {
+		t.Errorf("fingerprint changed across restart: %s vs %s", before.Fingerprint, after.Fingerprint)
+	}
+	if !bytes.Equal(after.Results, before.Results) {
+		t.Errorf("restart-warm results differ from pre-crash results\npre:  %s\npost: %s",
+			before.Results, after.Results)
+	}
+	m := s2.Metrics()
+	if m.CacheMisses != 0 || m.Optimizations != 0 {
+		t.Errorf("restart re-ran the comparison: misses=%d optimizations=%d, want 0",
+			m.CacheMisses, m.Optimizations)
+	}
+	if m.WarmedEntries != 1 {
+		t.Errorf("warmed_entries = %d, want 1", m.WarmedEntries)
+	}
+}
+
+// TestDrainWaitsForInFlightCompare: a comparison admitted before the
+// drain is in flight like any other request, so Drain waits for it and
+// it returns its results rather than an error. The single worker is
+// parked on a gated stub plan so the comparison is still queued when
+// the drain begins.
+func TestDrainWaitsForInFlightCompare(t *testing.T) {
+	release := make(chan struct{})
+	s := New(Config{Workers: 1, Optimize: func(ctx context.Context, m *topoopt.Model, o topoopt.Options) (*topoopt.Plan, error) {
+		select {
+		case <-release:
+			return stubPlan(t), nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}})
+	go s.Plan(context.Background(), testRequest(1))
+	waitUntil(t, func() bool { return s.Metrics().InFlight == 1 }, "plan never registered")
+
+	cr := compareTestRequest()
+	m, err := cr.Model.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	archs := []topoopt.Architecture{topoopt.ArchTopoOpt, topoopt.ArchTorus}
+	type compareOut struct {
+		res []topoopt.CompareResult
+		err error
+	}
+	compared := make(chan compareOut, 1)
+	go func() {
+		res, _, _, err := s.Compare(context.Background(), cr.Model, m, cr.Options, archs)
+		compared <- compareOut{res, err}
+	}()
+	waitUntil(t, func() bool { return s.Metrics().InFlight == 2 }, "comparison never registered")
+
+	drained := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		drained <- s.Drain(ctx)
+	}()
+	select {
+	case err := <-drained:
+		t.Fatalf("Drain returned %v with a comparison still in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if err := <-drained; err != nil {
+		t.Fatalf("Drain = %v, want nil (every flight finished inside the deadline)", err)
+	}
+	out := <-compared
+	if out.err != nil {
+		t.Fatalf("in-flight comparison during drain: %v", out.err)
+	}
+	if len(out.res) != len(archs) {
+		t.Errorf("comparison returned %d results, want %d", len(out.res), len(archs))
+	}
+}
+
+// TestCompareAfterBeginDrainRejected: once the drain begins, Compare
+// refuses new work with ErrDraining — cache hits included, exactly like
+// Plan.
+func TestCompareAfterBeginDrainRejected(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	cr := compareTestRequest()
+	m, err := cr.Model.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached := []topoopt.Architecture{topoopt.ArchTorus}
+	if _, _, _, err := s.Compare(context.Background(), cr.Model, m, cr.Options, cached); err != nil {
+		t.Fatal(err)
+	}
+	s.BeginDrain()
+	for _, archs := range [][]topoopt.Architecture{cached, {topoopt.ArchTopoOpt}} {
+		if _, _, _, err := s.Compare(context.Background(), cr.Model, m, cr.Options, archs); err != ErrDraining {
+			t.Errorf("Compare(%v) after BeginDrain: err = %v, want ErrDraining", archs, err)
+		}
 	}
 }

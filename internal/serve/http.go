@@ -288,7 +288,7 @@ func (s *Service) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	plan, fp, cached, err := s.plan(ctx, req, fp, resolved(m), nil, tr)
+	plan, fp, cached, err := s.plan(ctx, req, fp, resolved(m), tr)
 	if err != nil {
 		aerr := s.serviceError(err)
 		tr.Finish(fp, false, aerr.Status)

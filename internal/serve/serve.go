@@ -122,19 +122,27 @@ type PlanRequest struct {
 func (r PlanRequest) Fingerprint() string {
 	r.Model = r.Model.Canonical()
 	r.Options = r.Options.Canonical()
-	b, err := json.Marshal(r)
+	return fingerprint(r)
+}
+
+// fingerprint is SHA-256 over the JSON of key, hex-encoded: the hashing
+// step shared by every fingerprint family. Callers canonicalize first;
+// plan keys are the bare request, while compare, fleet and sweep keys
+// carry a kind tag so the families never alias in the shared LRU.
+func fingerprint(key any) string {
+	b, err := json.Marshal(key)
 	if err != nil {
-		// Both structs are plain data; Marshal cannot fail on them.
+		// Every key is plain data; Marshal cannot fail on it.
 		panic(fmt.Sprintf("serve: fingerprint marshal: %v", err))
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
 
-// flight is one in-progress computation — an optimization or a fleet
-// simulation — that any number of identical requests wait on. waiters
-// counts them; when the last one abandons the request, the flight's
-// context is cancelled and the computation aborts at its next
+// flight is one in-progress computation — an optimization, a comparison,
+// a fleet simulation or a sweep — that any number of identical requests
+// wait on. waiters counts them; when the last one abandons the request,
+// the flight's context is cancelled and the computation aborts at its next
 // cancellation check (between MCMC iterations, between fleet events).
 // The result is held as `any`: the submitting path knows its concrete
 // type and casts on the way out, so one coalescing/caching machinery
@@ -200,7 +208,6 @@ type Service struct {
 	// keyed by fingerprint; GET /v1/jobs/{id} serves them as `partial`.
 	partials map[string]*partialState
 	flights  map[string]*flight
-	compares map[string]*compareFlight
 	jobs     map[string]*job
 	jobID    uint64
 	jobSeq   []string // creation order, for bounded eviction
@@ -279,7 +286,6 @@ func New(cfg Config) *Service {
 		sim:      sim,
 		partials: make(map[string]*partialState),
 		flights:  make(map[string]*flight),
-		compares: make(map[string]*compareFlight),
 		jobs:     make(map[string]*job),
 		met:      met,
 	}
@@ -406,11 +412,11 @@ func (s *Service) Drain(ctx context.Context) error {
 }
 
 // awaitIdle polls until no flight (sync request, comparison or async
-// job) remains in flight, or ctx expires.
+// job — all share one flight table) remains in flight, or ctx expires.
 func (s *Service) awaitIdle(ctx context.Context) bool {
 	for {
 		s.mu.Lock()
-		idle := len(s.flights) == 0 && len(s.compares) == 0
+		idle := len(s.flights) == 0
 		s.mu.Unlock()
 		if idle {
 			return true
@@ -435,7 +441,7 @@ func (s *Service) Plan(ctx context.Context, req PlanRequest) (*topoopt.Plan, str
 			err = req.Options.Validate()
 		}
 		return m, err
-	}, nil, nil)
+	}, nil)
 }
 
 // resolved wraps an already-resolved model for the plan call (the HTTP
@@ -448,20 +454,18 @@ func resolved(m *topoopt.Model) func() (*topoopt.Model, error) {
 // flight-creating path, outside the service lock: cache hits and
 // coalesced joins are served by fingerprint alone, so they never pay for
 // model materialization or re-validation (a cached fingerprint implies
-// the request was valid). onStart, when non-nil, fires once the
-// optimization actually begins executing (async jobs use it to move from
-// "queued" to "running"). tr, when non-nil, receives the request's stage
+// the request was valid). tr, when non-nil, receives the request's stage
 // breakdown — cache lookup, admission, queue wait and search time, the
 // latter two clipped to this waiter's own wait window so coalesced
 // joiners never claim time they did not spend waiting.
-func (s *Service) plan(ctx context.Context, req PlanRequest, fp string, resolve func() (*topoopt.Model, error), onStart func(), tr *telemetry.Trace) (*topoopt.Plan, string, bool, error) {
+func (s *Service) plan(ctx context.Context, req PlanRequest, fp string, resolve func() (*topoopt.Model, error), tr *telemetry.Trace) (*topoopt.Plan, string, bool, error) {
 	res, hit, err := s.execute(ctx, fp, func() (flightRun, error) {
 		m, rerr := resolve()
 		if rerr != nil {
 			return nil, rerr
 		}
 		return s.planRun(m, req, fp), nil
-	}, onStart, tr)
+	}, tr)
 	if err != nil {
 		return nil, fp, hit, err
 	}
@@ -469,14 +473,15 @@ func (s *Service) plan(ctx context.Context, req PlanRequest, fp string, resolve 
 }
 
 // execute is the shared cache → coalesce → admit → queue → wait sequence
-// every flight-backed request shape (plan, fleet, sweep) rides. makeRun
-// is only invoked on the flight-creating path, outside the service lock:
-// cache hits and coalesced joins are served by fingerprint alone, so
-// they never pay for request materialization (a cached fingerprint
-// implies the request was valid). The returned bool reports a cache hit.
-func (s *Service) execute(ctx context.Context, fp string, makeRun func() (flightRun, error), onStart func(), tr *telemetry.Trace) (any, bool, error) {
+// every synchronous flight-backed request shape (plan, compare, sweep)
+// rides. makeRun is only invoked on the flight-creating path, outside the
+// service lock: cache hits and coalesced joins are served by fingerprint
+// alone, so they never pay for request materialization (a cached
+// fingerprint implies the request was valid). The returned bool reports
+// a cache hit.
+func (s *Service) execute(ctx context.Context, fp string, makeRun func() (flightRun, error), tr *telemetry.Trace) (any, bool, error) {
 	tr.Start(telemetry.StageCache)
-	cached, f, err := s.joinOrCreate(fp, nil, onStart)
+	cached, f, err := s.joinOrCreate(fp, nil, nil)
 	tr.End()
 	if err != nil {
 		return nil, false, err
@@ -505,7 +510,7 @@ func (s *Service) execute(ctx context.Context, fp string, makeRun func() (flight
 			return nil, false, rerr
 		}
 		tr.Start(telemetry.StageCache)
-		cached, f, err = s.joinOrCreate(fp, run, onStart)
+		cached, f, err = s.joinOrCreate(fp, run, nil)
 		tr.End()
 		if err != nil {
 			return nil, false, err
@@ -887,43 +892,12 @@ func CompareFingerprint(spec topoopt.ModelSpec, o topoopt.Options, archs []topoo
 	if len(archs) == 0 {
 		archs = topoopt.Architectures()
 	}
-	b, err := json.Marshal(compareKey{
+	return fingerprint(compareKey{
 		Kind:    "compare",
 		Model:   spec.Canonical(),
 		Options: o.Canonical(),
 		Archs:   archs,
 	})
-	if err != nil {
-		// Plain data; Marshal cannot fail on it.
-		panic(fmt.Sprintf("serve: compare fingerprint marshal: %v", err))
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
-
-// compareFlight is one in-progress comparison that any number of
-// identical requests wait on — the compare-shaped sibling of flight
-// (which is hardwired to plans and their job onStart hooks). Comparisons
-// are the most expensive request type (up to a full registry of MCMC
-// sweeps), so they get the same waiter-refcounted coalescing: N
-// identical concurrent requests cost one sweep, and the sweep is
-// cancelled when its last waiter leaves. The two flights deliberately
-// share their locking protocol — unregister-then-close(done) under
-// Service.mu, cancel-on-last-abandon — so a fix to either must be
-// mirrored in the other.
-type compareFlight struct {
-	fp      string
-	ctx     context.Context
-	cancel  context.CancelFunc
-	done    chan struct{}
-	res     []topoopt.CompareResult
-	err     error
-	waiters int
-	// Lifecycle timestamps for stage attribution, mirroring flight's;
-	// all under Service.mu.
-	enqueued   time.Time
-	startedAt  time.Time
-	finishedAt time.Time
 }
 
 // Compare runs topoopt.CompareContext on the worker pool (bounded like
@@ -939,170 +913,28 @@ func (s *Service) Compare(ctx context.Context, spec topoopt.ModelSpec, m *topoop
 	return s.compare(ctx, spec, m, o, archs, nil)
 }
 
-// compare is the core of Compare; tr, when non-nil, receives the stage
-// breakdown exactly as in plan (queue/search clipped to this waiter's
-// wait window).
+// compare is the core of Compare: a flight on the shared execute path,
+// so it inherits plan's cache, coalescing, admission shedding and stage
+// breakdown (tr, when non-nil).
 func (s *Service) compare(ctx context.Context, spec topoopt.ModelSpec, m *topoopt.Model, o topoopt.Options, archs []topoopt.Architecture, tr *telemetry.Trace) ([]topoopt.CompareResult, string, bool, error) {
 	fp := CompareFingerprint(spec, o, archs)
-	tr.Start(telemetry.StageCache)
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		tr.End()
-		return nil, fp, false, ErrClosed
-	}
-	if s.draining {
-		s.mu.Unlock()
-		tr.End()
-		return nil, fp, false, ErrDraining
-	}
-	if v, ok := s.cache.get(fp); ok {
-		s.mu.Unlock()
-		tr.End()
-		s.met.cacheHit()
-		return v.([]topoopt.CompareResult), fp, true, nil
-	}
-	if f, ok := s.compares[fp]; ok {
-		f.waiters++
-		s.mu.Unlock()
-		tr.End()
-		s.met.coalesce()
-		joined := time.Now()
-		res, err := s.waitCompare(ctx, f)
-		s.traceCompareWait(tr, f, joined)
-		return res, fp, false, err
-	}
-	// About to occupy a queue slot: same admission shedding as plans
-	// (comparisons are the most expensive request type, so doomed ones
-	// waste the most).
-	tr.Start(telemetry.StageAdmission)
-	if serr := s.shedCheck(ctx); serr != nil {
-		s.mu.Unlock()
-		tr.End()
-		return nil, fp, false, serr
-	}
-	tr.Start(telemetry.StageCache)
-	fctx, cancel := context.WithCancel(s.baseCtx)
-	f := &compareFlight{fp: fp, ctx: fctx, cancel: cancel,
-		done: make(chan struct{}), waiters: 1, enqueued: time.Now()}
-	task := func() { s.runCompare(f, m, o, archs) }
-	select {
-	case s.queue <- task:
-		s.compares[fp] = f
-	default:
-		cancel()
-		s.mu.Unlock()
-		tr.End()
-		s.met.queueFullDrop()
-		return nil, fp, false, ErrQueueFull
-	}
-	s.mu.Unlock()
-	tr.End()
-	s.met.cacheMiss()
-	joined := time.Now()
-	res, err := s.waitCompare(ctx, f)
-	s.traceCompareWait(tr, f, joined)
-	return res, fp, false, err
-}
-
-// traceCompareWait is traceWait for comparison flights (which have no
-// per-epoch progress sink; their searches span whole architecture
-// registries).
-func (s *Service) traceCompareWait(tr *telemetry.Trace, f *compareFlight, joined time.Time) {
-	if tr == nil {
-		return
-	}
-	woke := time.Now()
-	s.mu.Lock()
-	enq, started, finished := f.enqueued, f.startedAt, f.finishedAt
-	s.mu.Unlock()
-	tr.Add(telemetry.StageQueue, overlap(enq, started, joined, woke))
-	if !started.IsZero() {
-		tr.Add(telemetry.StageSearch, overlap(started, finished, joined, woke))
-	}
-}
-
-// runCompare executes one comparison flight on a worker.
-func (s *Service) runCompare(f *compareFlight, m *topoopt.Model, o topoopt.Options, archs []topoopt.Architecture) {
-	s.mu.Lock()
-	f.startedAt = time.Now()
-	s.mu.Unlock()
-	if err := f.ctx.Err(); err != nil {
-		s.finishCompare(f, nil, err)
-		return
-	}
-	granted := s.chains.acquire(o.Parallelism)
-	defer s.chains.release(granted)
-	o.SearchWorkers = granted
-	t0 := time.Now()
-	res, err := topoopt.CompareContext(f.ctx, m, o, archs...)
-	if err == nil {
-		s.met.observeService(time.Since(t0).Seconds())
-	}
-	s.finishCompare(f, res, err)
-}
-
-// finishCompare publishes a comparison's result, caching successes.
-func (s *Service) finishCompare(f *compareFlight, res []topoopt.CompareResult, err error) {
-	s.mu.Lock()
-	if s.compares[f.fp] == f {
-		delete(s.compares, f.fp)
-	}
-	if err == nil {
-		s.cache.add(f.fp, res)
-	}
-	f.res, f.err = res, err
-	f.finishedAt = time.Now()
-	close(f.done)
-	s.mu.Unlock()
-	if err == nil {
-		s.observedPersist(f.fp, res)
-	}
-	f.cancel()
-}
-
-// waitCompare blocks until the comparison completes, the caller's ctx is
-// cancelled (dropping this waiter), or the service closes. As in
-// waitFlight, a completed result wins any race against cancellation.
-func (s *Service) waitCompare(ctx context.Context, f *compareFlight) ([]topoopt.CompareResult, error) {
-	select {
-	case <-f.done:
-		return f.res, f.err
-	case <-ctx.Done():
-		select {
-		case <-f.done:
-			return f.res, f.err
-		default:
-		}
-		s.abandonCompare(f)
-		return nil, ctx.Err()
-	case <-s.baseCtx.Done():
-		select {
-		case <-f.done:
-			return f.res, f.err
-		default:
-		}
-		return nil, ErrClosed
-	}
-}
-
-// abandonCompare drops one waiter; the last one out cancels the sweep
-// and unregisters it so a later identical request starts fresh.
-func (s *Service) abandonCompare(f *compareFlight) {
-	s.mu.Lock()
-	f.waiters--
-	if f.waiters <= 0 {
-		select {
-		case <-f.done:
-			// Already finished; nothing to cancel.
-		default:
-			if s.compares[f.fp] == f {
-				delete(s.compares, f.fp)
+	res, hit, err := s.execute(ctx, fp, func() (flightRun, error) {
+		return func(ctx context.Context) (any, error) {
+			granted := s.chains.acquire(o.Parallelism)
+			defer s.chains.release(granted)
+			o := o
+			o.SearchWorkers = granted
+			res, err := topoopt.CompareContext(ctx, m, o, archs...)
+			if err != nil {
+				return nil, err
 			}
-			f.cancel()
-		}
+			return res, nil
+		}, nil
+	}, tr)
+	if err != nil {
+		return nil, fp, hit, err
 	}
-	s.mu.Unlock()
+	return res.([]topoopt.CompareResult), fp, hit, nil
 }
 
 // Job states.
@@ -1179,16 +1011,10 @@ type FleetRequest struct {
 // (Seed, TraceSpec, Policy, Arch, ...), which is what makes caching whole
 // cluster runs sound.
 func FleetFingerprint(spec topoopt.FleetSpec) string {
-	b, err := json.Marshal(struct {
+	return fingerprint(struct {
 		Kind string            `json:"kind"`
 		Spec topoopt.FleetSpec `json:"spec"`
 	}{Kind: "fleet", Spec: spec.Canonical()})
-	if err != nil {
-		// Plain data; Marshal cannot fail on it.
-		panic(fmt.Sprintf("serve: fleet fingerprint marshal: %v", err))
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
 }
 
 // SubmitFleet validates spec and registers an async fleet-simulation job.
@@ -1238,17 +1064,11 @@ type sweepJournal struct {
 // "sweep" kind tag. The replica count is part of the key — a K=64 sweep
 // and a K=8 sweep of the same spec are different distributions.
 func SweepFingerprint(spec topoopt.FleetSpec, replicas int) string {
-	b, err := json.Marshal(struct {
+	return fingerprint(struct {
 		Kind     string            `json:"kind"`
 		Spec     topoopt.FleetSpec `json:"spec"`
 		Replicas int               `json:"replicas"`
 	}{Kind: "sweep", Spec: spec.Canonical(), Replicas: replicas})
-	if err != nil {
-		// Plain data; Marshal cannot fail on it.
-		panic(fmt.Sprintf("serve: sweep fingerprint marshal: %v", err))
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
 }
 
 // sweepRun adapts a Monte Carlo sweep to the generic flight runner. The
@@ -1299,7 +1119,7 @@ func (s *Service) Sweep(ctx context.Context, spec topoopt.FleetSpec, replicas in
 	fp := SweepFingerprint(sp, replicas)
 	res, hit, err := s.execute(ctx, fp, func() (flightRun, error) {
 		return s.sweepRun(sp, replicas), nil
-	}, nil, tr)
+	}, tr)
 	if err != nil {
 		return nil, fp, hit, err
 	}
@@ -1553,7 +1373,7 @@ func (s *Service) Metrics() MetricsSnapshot {
 	s.mu.Lock()
 	snap.CacheEntries = s.cache.len()
 	snap.SimIndexEntries = s.sim.len()
-	snap.InFlight = len(s.flights) + len(s.compares)
+	snap.InFlight = len(s.flights)
 	snap.JobsTracked = len(s.jobs)
 	snap.WarmedEntries = s.warmed
 	snap.Draining = s.draining

@@ -171,6 +171,7 @@ func TestSimIndexRebuildFromWALAfterKill9(t *testing.T) {
 		t.Fatalf("world B seed 1: status %d", resp.StatusCode)
 	}
 	tsB1.Close()
+	waitStoreLen(t, storeB, 1)
 	logPath := filepath.Join(dirB, wal.LogName)
 	f, err := os.OpenFile(logPath, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
