@@ -276,8 +276,8 @@ func (c *cluster) members(met *metrics) []ClusterMember {
 			Self:             n == c.self,
 			Healthy:          true,
 			Share:            shares[n],
-			Forwarded:        met.forwardedTo(n),
-			ForwardFallbacks: met.fallbacksTo(n),
+			Forwarded:        met.forwarded.get(n),
+			ForwardFallbacks: met.forwardFail.get(n),
 		}
 		if st := c.peers[n]; st != nil {
 			m.Healthy = st.healthy
@@ -305,7 +305,7 @@ func (s *Service) EnableCluster(cfg ClusterConfig) error {
 	for p := range c.peers {
 		remote = append(remote, p)
 	}
-	s.met.initPeers(remote)
+	s.met.forwarded, s.met.forwardFail = newKeyed(remote), newKeyed(remote)
 	if old := s.cluster.Swap(c); old != nil {
 		old.close()
 	}
@@ -327,7 +327,7 @@ func (s *Service) Cluster() ClusterResponse {
 }
 
 func (s *Service) handleCluster(w http.ResponseWriter, r *http.Request) {
-	s.met.incRequest("cluster")
+	s.met.requests.add("cluster")
 	writeJSON(w, http.StatusOK, s.Cluster())
 }
 
@@ -385,11 +385,11 @@ func (s *Service) forward(ctx context.Context, w http.ResponseWriter, r *http.Re
 		// to local compute — the ring degrades, requests never fail because
 		// a peer died.
 		c.markDown(owner, err)
-		s.met.forwardFallback(owner)
+		s.met.forwardFail.add(owner)
 		return false, 0
 	}
 	defer resp.Body.Close()
-	s.met.forwardTo(owner)
+	s.met.forwarded.add(owner)
 	// The owner's response passes through byte-for-byte: status, error
 	// envelope, its Retry-After (computed from the owner's queue, which
 	// is the one that matters) and its X-Trace stage breakdown.
@@ -408,6 +408,6 @@ func (s *Service) forward(ctx context.Context, w http.ResponseWriter, r *http.Re
 // (it carries the loop-guard header) and is being served here.
 func (s *Service) noteForwardedArrival(r *http.Request) {
 	if r.Header.Get(ForwardedHeader) != "" {
-		s.met.forwardedServed()
+		s.met.fwdServed.Add(1)
 	}
 }

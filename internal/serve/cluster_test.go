@@ -215,6 +215,56 @@ func TestClusterSingleHopAndCounters(t *testing.T) {
 	}
 }
 
+// TestClusterForwardedTracesKeepFingerprint: a plan and a compare that
+// the entry member forwards to their owner still carry the request's
+// fingerprint in the entry member's /debug/requests records.
+func TestClusterForwardedTracesKeepFingerprint(t *testing.T) {
+	nodes := startTestCluster(t, 2, func(i int, urls []string) Config {
+		return Config{Workers: 1, QueueLen: 8, Optimize: func(ctx context.Context, m *topoopt.Model, o topoopt.Options) (*topoopt.Plan, error) {
+			return stubPlan(t), nil
+		}}
+	})
+	urls := []string{nodes[0].url, nodes[1].url}
+	ring, err := shard.New(urls, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	preq := requestOwnedBy(t, urls, urls[1])
+	resp, body, _ := postPlan(t, urls[0], preq, nil)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(OwnerHeader) != urls[1] {
+		t.Fatalf("plan: status %d owner %q: %s", resp.StatusCode, resp.Header.Get(OwnerHeader), body)
+	}
+
+	archs := []topoopt.Architecture{topoopt.ArchIdeal}
+	var creq CompareRequest
+	for seed := int64(1); ; seed++ {
+		creq = CompareRequest{
+			Model: topoopt.ModelSpec{Preset: "candle", Section: "6"},
+			Options: topoopt.Options{Servers: 4, Degree: 2, LinkBandwidth: 100e9,
+				MCMCIters: 5, Rounds: 1, Seed: seed},
+			Archs: []string{string(archs[0])},
+		}
+		if ring.Owner(CompareFingerprint(creq.Model, creq.Options, archs)) == urls[1] {
+			break
+		}
+	}
+	cr := postCompare(t, urls[0], creq)
+
+	want := map[string]string{"plan": preq.Fingerprint(), "compare": cr.Fingerprint}
+	for _, rec := range getDebugRequests(t, nodes[0].ts) {
+		if fp, ok := want[rec.Endpoint]; ok {
+			if rec.Fingerprint != fp {
+				t.Errorf("%s record fingerprint %q, want %q", rec.Endpoint, rec.Fingerprint, fp)
+			}
+			delete(want, rec.Endpoint)
+		}
+	}
+	if len(want) > 0 {
+		t.Fatalf("entry member recorded no trace for %v", want)
+	}
+}
+
 // TestClusterOwnerDownFallsBackLocal pins the degradation contract: a
 // dead owner costs locality, not availability. The first request pays
 // one failed connect and computes locally; the peer is then marked down
@@ -358,7 +408,7 @@ func TestClusterRetryAfterPropagatedThroughHop(t *testing.T) {
 	// Teach the owner's admission estimator a 6s mean service time: its
 	// Retry-After for a full queue becomes ceil(1 × 6 / 1) = 6s. The
 	// idle edge would say 1s — so a 6 proves the header crossed the hop.
-	owner.met.observeService(6.0)
+	owner.met.svc.Observe(6.0)
 
 	var req3 PlanRequest
 	ring, _ := shard.New(urls, 0)

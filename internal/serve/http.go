@@ -257,7 +257,7 @@ type PlanResponse struct {
 }
 
 func (s *Service) handlePlan(w http.ResponseWriter, r *http.Request) {
-	s.met.incRequest("plan")
+	s.met.requests.add("plan")
 	s.noteForwardedArrival(r)
 	tr := s.tel.Begin("plan")
 	tr.Start(telemetry.StageDecode)
@@ -295,7 +295,7 @@ func (s *Service) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeError(w, aerr)
 		return
 	}
-	s.met.observeLatency(time.Since(start).Seconds())
+	s.met.lat.Observe(time.Since(start).Seconds())
 	tr.Start(telemetry.StageEncode)
 	// The header renders before the body is encoded (headers must precede
 	// WriteHeader), so its encode figure is ~0; the full encode time still
@@ -321,7 +321,7 @@ type CompareResponse struct {
 }
 
 func (s *Service) handleCompare(w http.ResponseWriter, r *http.Request) {
-	s.met.incRequest("compare")
+	s.met.requests.add("compare")
 	s.noteForwardedArrival(r)
 	tr := s.tel.Begin("compare")
 	tr.Start(telemetry.StageDecode)
@@ -363,15 +363,16 @@ func (s *Service) handleCompare(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
+	fp := CompareFingerprint(req.Model, req.Options, archs)
 	tr.End()
-	if handled, status := s.forward(ctx, w, r, body, CompareFingerprint(req.Model, req.Options, archs)); handled {
-		tr.Finish("", false, status)
+	if handled, status := s.forward(ctx, w, r, body, fp); handled {
+		tr.Finish(fp, false, status)
 		return
 	}
 	// Compare latencies are not observed: a multi-architecture sweep is
 	// seconds-scale and would swamp the serving-path quantiles the
 	// latency window exists to track.
-	res, fp, cached, err := s.compare(ctx, req.Model, m, req.Options, archs, tr)
+	res, cached, err := s.compare(ctx, fp, m, req.Options, archs, tr)
 	if err != nil {
 		aerr := s.serviceError(err)
 		tr.Finish(fp, false, aerr.Status)
@@ -398,7 +399,7 @@ type CostResponse struct {
 }
 
 func (s *Service) handleCost(w http.ResponseWriter, r *http.Request) {
-	s.met.incRequest("cost")
+	s.met.requests.add("cost")
 	q := r.URL.Query()
 	arch := q.Get("arch")
 	servers, err1 := strconv.Atoi(q.Get("servers"))
@@ -440,7 +441,7 @@ func (s *Service) handleCost(w http.ResponseWriter, r *http.Request) {
 // reuses the fingerprinted cache entry and returns a job that is already
 // done with the identical result.
 func (s *Service) handleSubmitFleet(w http.ResponseWriter, r *http.Request) {
-	s.met.incRequest("fleet")
+	s.met.requests.add("fleet")
 	var req FleetRequest
 	if aerr := decodeJSON(w, r, &req); aerr != nil {
 		writeError(w, aerr)
@@ -472,7 +473,7 @@ type SweepResponse struct {
 // standard X-Trace breakdown (replica progress included) — or async with
 // "async": true, returning 202 + a kind="sweep" job to poll.
 func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.met.incRequest("sweep")
+	s.met.requests.add("sweep")
 	tr := s.tel.Begin("sweep")
 	tr.Start(telemetry.StageDecode)
 	var req SweepRequest
@@ -537,7 +538,7 @@ type JobList struct {
 }
 
 func (s *Service) handleListJobs(w http.ResponseWriter, r *http.Request) {
-	s.met.incRequest("jobs_list")
+	s.met.requests.add("jobs_list")
 	q := r.URL.Query()
 	limit := 0
 	if l := q.Get("limit"); l != "" {
@@ -557,7 +558,7 @@ func (s *Service) handleListJobs(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
-	s.met.incRequest("jobs_submit")
+	s.met.requests.add("jobs_submit")
 	var req PlanRequest
 	m, aerr := decodePlanRequest(w, r, &req)
 	if aerr != nil {
@@ -573,7 +574,7 @@ func (s *Service) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	s.met.incRequest("jobs_get")
+	s.met.requests.add("jobs_get")
 	j, ok := s.GetJob(r.PathValue("id"))
 	if !ok {
 		writeError(w, jobNotFound(r.PathValue("id")))
@@ -589,7 +590,7 @@ func jobNotFound(id string) *apiError {
 }
 
 func (s *Service) handleCancelJob(w http.ResponseWriter, r *http.Request) {
-	s.met.incRequest("jobs_cancel")
+	s.met.requests.add("jobs_cancel")
 	j, ok := s.CancelJob(r.PathValue("id"))
 	if !ok {
 		writeError(w, jobNotFound(r.PathValue("id")))

@@ -94,7 +94,7 @@ func TestShedding429WhenQueueWaitExceedsDeadline(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	s.met.observeService(1.0) // pretend searches take 1s
+	s.met.svc.Observe(1.0) // pretend searches take 1s
 
 	// Occupy the worker, then build a backlog of queued jobs.
 	if _, err := s.SubmitJob(testRequest(1)); err != nil {

@@ -1,32 +1,53 @@
 package serve
 
 import (
-	"sync"
 	"sync/atomic"
 
-	"topoopt/internal/stats"
 	"topoopt/internal/telemetry"
 )
 
-// latencyWindow bounds the ring buffer the latency quantiles are computed
-// over: large enough for stable tails, small enough that a long-lived
-// daemon's /metrics reflects recent behavior.
+// latencyWindow bounds the latency and service-time windows: large
+// enough for stable tails, small enough that a long-lived daemon's
+// /metrics and admission estimate reflect recent behavior.
 const latencyWindow = 1024
 
-// endpointNames is the fixed set of request counters. The per-endpoint
-// map is built once in newMetrics and never mutated afterwards, so
-// incRequest is a lock-free map read plus an atomic add.
+// endpointNames is the fixed set of request counters.
 var endpointNames = []string{
 	"plan", "compare", "cost", "fleet", "sweep",
 	"jobs_submit", "jobs_list", "jobs_get", "jobs_cancel",
 	"cluster",
 }
 
-// metrics aggregates service counters. Hot counters — everything bumped
-// on the cache-hit fast path or per request — are plain atomics so the
-// serving path never takes a metrics lock; the mutex guards only the
-// latency and service-time ring buffers, which are touched once per
-// completed request or optimization.
+// keyed is a fixed-key counter set. The map is built once and never
+// mutated afterwards, so add and get are a lock-free map read plus an
+// atomic op; keys outside the set are ignored.
+type keyed map[string]*atomic.Int64
+
+func newKeyed(keys []string) keyed {
+	k := make(keyed, len(keys))
+	for _, key := range keys {
+		k[key] = new(atomic.Int64)
+	}
+	return k
+}
+
+// add counts one event under key.
+func (k keyed) add(key string) {
+	if c, ok := k[key]; ok {
+		c.Add(1)
+	}
+}
+
+func (k keyed) get(key string) int64 {
+	if c, ok := k[key]; ok {
+		return c.Load()
+	}
+	return 0
+}
+
+// metrics aggregates service counters. Every counter is an atomic and
+// each telemetry.Window locks itself, so the serving path never takes a
+// metrics-wide lock.
 type metrics struct {
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -40,185 +61,58 @@ type metrics struct {
 	// is the daemon's search throughput.
 	proposals atomic.Int64
 	// warmStarts counts searches seeded from the plan-similarity index;
-	// warmImproved counts the subset whose seed strictly beat the
-	// canonical start states (on real fabrics the canonical hybrid is
-	// usually already optimal, so the win is the patience time saving and
-	// warmImproved staying near zero is expected, not a bug).
+	// warmWins counts the subset whose seed strictly beat the canonical
+	// start states (on real fabrics the canonical hybrid is usually
+	// already optimal, so the win is the patience time saving and
+	// warmWins staying near zero is expected, not a bug).
 	warmStarts atomic.Int64
 	warmWins   atomic.Int64
-	requests   map[string]*atomic.Int64 // fixed keys; see endpointNames
+	requests   keyed // endpointNames
 
-	// Sharded-cluster forwarding counters. The per-peer maps are built
-	// once by initPeers (EnableCluster, before traffic) and never mutated
-	// afterwards, same lock-free discipline as requests. forwarded counts
-	// requests this daemon proxied to each owner; forwardFallback counts
-	// proxy attempts that failed over to local compute; fwdServed counts
-	// requests served here that arrived via a peer's forward.
-	forwarded   map[string]*atomic.Int64
-	forwardFail map[string]*atomic.Int64
+	// Sharded-cluster forwarding counters, keyed by peer and set by
+	// EnableCluster before traffic. forwarded counts requests this daemon
+	// proxied to each owner; forwardFail counts proxy attempts that
+	// failed over to local compute; fwdServed counts requests served here
+	// that arrived via a peer's forward.
+	forwarded   keyed
+	forwardFail keyed
 	fwdServed   atomic.Int64
 
-	mu       sync.Mutex // guards the rings below, nothing else
-	lat      []float64
-	latPos   int
-	latCount int64
-	latSum   float64 // all-time, so the Prometheus summary _sum is monotonic
-	svc      []float64
-	svcPos   int
-	svcSum   float64 // running sum of svc, so the mean is O(1)
+	// lat is end-to-end plan latency. svc is the wall time of completed
+	// searches: the admission controller's shed decision multiplies its
+	// O(1) mean by the queue depth to estimate how long a newly queued
+	// request would wait (0 while empty: a cold service never sheds).
+	lat *telemetry.Window
+	svc *telemetry.Window
 }
 
 func newMetrics() *metrics {
-	m := &metrics{requests: make(map[string]*atomic.Int64, len(endpointNames))}
-	for _, e := range endpointNames {
-		m.requests[e] = new(atomic.Int64)
+	return &metrics{
+		requests: newKeyed(endpointNames),
+		lat:      telemetry.NewWindow(latencyWindow),
+		svc:      telemetry.NewWindow(latencyWindow),
 	}
-	return m
-}
-
-func (m *metrics) incRequest(endpoint string) {
-	if c, ok := m.requests[endpoint]; ok {
-		c.Add(1)
-	}
-}
-
-func (m *metrics) cacheHit()      { m.hits.Add(1) }
-func (m *metrics) cacheMiss()     { m.misses.Add(1) }
-func (m *metrics) coalesce()      { m.coalesced.Add(1) }
-func (m *metrics) optimizedDone() { m.optimized.Add(1) }
-func (m *metrics) queueFullDrop() { m.queueFull.Add(1) }
-func (m *metrics) shedDrop()      { m.shed.Add(1) }
-func (m *metrics) storeError()    { m.storeErrs.Add(1) }
-func (m *metrics) warmStart()     { m.warmStarts.Add(1) }
-func (m *metrics) warmImproved()  { m.warmWins.Add(1) }
-
-// initPeers fixes the per-peer forwarding counter maps. Called once
-// from EnableCluster before the service takes traffic.
-func (m *metrics) initPeers(peers []string) {
-	fwd := make(map[string]*atomic.Int64, len(peers))
-	fail := make(map[string]*atomic.Int64, len(peers))
-	for _, p := range peers {
-		fwd[p] = new(atomic.Int64)
-		fail[p] = new(atomic.Int64)
-	}
-	m.forwarded = fwd
-	m.forwardFail = fail
-}
-
-func (m *metrics) forwardTo(peer string) {
-	if c, ok := m.forwarded[peer]; ok {
-		c.Add(1)
-	}
-}
-
-func (m *metrics) forwardFallback(peer string) {
-	if c, ok := m.forwardFail[peer]; ok {
-		c.Add(1)
-	}
-}
-
-func (m *metrics) forwardedServed() { m.fwdServed.Add(1) }
-
-func (m *metrics) forwardedTo(peer string) int64 {
-	if c, ok := m.forwarded[peer]; ok {
-		return c.Load()
-	}
-	return 0
-}
-
-func (m *metrics) fallbacksTo(peer string) int64 {
-	if c, ok := m.forwardFail[peer]; ok {
-		return c.Load()
-	}
-	return 0
-}
-
-// addProposals folds an epoch's worth of consumed MCMC proposals into
-// the throughput counter.
-func (m *metrics) addProposals(n int64) {
-	if n > 0 {
-		m.proposals.Add(n)
-	}
-}
-
-// observeService records the wall time of one completed search (flight
-// or compare run). The admission controller's shed decision multiplies
-// the mean of this window by the queue depth to estimate how long a
-// newly queued request would wait.
-func (m *metrics) observeService(seconds float64) {
-	m.mu.Lock()
-	if len(m.svc) < latencyWindow {
-		m.svc = append(m.svc, seconds)
-	} else {
-		m.svcSum -= m.svc[m.svcPos]
-		m.svc[m.svcPos] = seconds
-		m.svcPos = (m.svcPos + 1) % latencyWindow
-	}
-	m.svcSum += seconds
-	m.mu.Unlock()
-}
-
-// meanService returns the mean observed service time in seconds, or 0
-// when nothing has been observed yet (a cold service never sheds). O(1):
-// the running sum is maintained by observeService.
-func (m *metrics) meanService() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.meanServiceLocked()
-}
-
-func (m *metrics) meanServiceLocked() float64 {
-	if len(m.svc) == 0 {
-		return 0
-	}
-	return m.svcSum / float64(len(m.svc))
-}
-
-func (m *metrics) observeLatency(seconds float64) {
-	m.mu.Lock()
-	if len(m.lat) < latencyWindow {
-		m.lat = append(m.lat, seconds)
-	} else {
-		m.lat[m.latPos] = seconds
-		m.latPos = (m.latPos + 1) % latencyWindow
-	}
-	m.latCount++
-	m.latSum += seconds
-	m.mu.Unlock()
-}
-
-// LatencySummary reports quantiles over the recent-request window.
-// Count and SumSeconds are all-time totals (monotonic, as Prometheus
-// summaries require); the mean and quantiles cover the recent window.
-type LatencySummary struct {
-	Count       int64   `json:"count"`
-	SumSeconds  float64 `json:"sum_seconds"`
-	MeanSeconds float64 `json:"mean_seconds"`
-	P50Seconds  float64 `json:"p50_seconds"`
-	P90Seconds  float64 `json:"p90_seconds"`
-	P99Seconds  float64 `json:"p99_seconds"`
-	MaxSeconds  float64 `json:"max_seconds"`
 }
 
 // MetricsSnapshot is the /v1/metrics response body; WriteMetricsText
 // renders the same snapshot as Prometheus text exposition at /metrics.
 type MetricsSnapshot struct {
-	Requests      map[string]int64 `json:"requests"`
-	CacheHits     int64            `json:"cache_hits"`
-	CacheMisses   int64            `json:"cache_misses"`
-	CacheEntries  int              `json:"cache_entries"`
-	Coalesced     int64            `json:"coalesced"`
-	Optimizations int64            `json:"optimizations"`
-	InFlight      int              `json:"in_flight"`
-	QueueDepth    int              `json:"queue_depth"`
-	QueueCapacity int              `json:"queue_capacity"`
-	QueueFull     int64            `json:"queue_full"`
-	Shed          int64            `json:"shed"`
-	StoreErrors   int64            `json:"store_errors"`
-	JobsTracked   int              `json:"jobs_tracked"`
-	WarmedEntries int              `json:"warmed_entries"`
-	Draining      bool             `json:"draining"`
-	Latency       LatencySummary   `json:"latency"`
+	Requests      map[string]int64       `json:"requests"`
+	CacheHits     int64                  `json:"cache_hits"`
+	CacheMisses   int64                  `json:"cache_misses"`
+	CacheEntries  int                    `json:"cache_entries"`
+	Coalesced     int64                  `json:"coalesced"`
+	Optimizations int64                  `json:"optimizations"`
+	InFlight      int                    `json:"in_flight"`
+	QueueDepth    int                    `json:"queue_depth"`
+	QueueCapacity int                    `json:"queue_capacity"`
+	QueueFull     int64                  `json:"queue_full"`
+	Shed          int64                  `json:"shed"`
+	StoreErrors   int64                  `json:"store_errors"`
+	JobsTracked   int                    `json:"jobs_tracked"`
+	WarmedEntries int                    `json:"warmed_entries"`
+	Draining      bool                   `json:"draining"`
+	Latency       telemetry.StageSummary `json:"latency"`
 
 	// MeanServiceSeconds is the mean wall time of recent completed
 	// searches — the admission controller's service-time estimate.
@@ -275,28 +169,11 @@ func (m *metrics) snapshot() MetricsSnapshot {
 		s.ForwardFallbacks = make(map[string]int64, len(m.forwardFail))
 		for p, c := range m.forwarded {
 			s.Forwarded[p] = c.Load()
-		}
-		for p, c := range m.forwardFail {
-			s.ForwardFallbacks[p] = c.Load()
+			s.ForwardFallbacks[p] = m.forwardFail.get(p)
 		}
 		s.ForwardedServed = m.fwdServed.Load()
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	// The mean is computed exactly once per snapshot and reused for both
-	// the JSON field and whatever renders it downstream.
-	s.MeanServiceSeconds = m.meanServiceLocked()
-	if len(m.lat) > 0 {
-		window := append([]float64(nil), m.lat...)
-		s.Latency = LatencySummary{
-			Count:       m.latCount,
-			SumSeconds:  m.latSum,
-			MeanSeconds: stats.Mean(window),
-			P50Seconds:  stats.Percentile(window, 50),
-			P90Seconds:  stats.Percentile(window, 90),
-			P99Seconds:  stats.Percentile(window, 99),
-			MaxSeconds:  stats.Max(window),
-		}
-	}
+	s.MeanServiceSeconds = m.svc.Mean()
+	s.Latency = m.lat.Summary()
 	return s
 }

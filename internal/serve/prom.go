@@ -80,14 +80,7 @@ func WriteMetricsText(w io.Writer, snap MetricsSnapshot) error {
 	}
 
 	p.Family("topoopt_request_latency_seconds", "End-to-end plan latency: all-time count/sum, quantiles over the recent window.", "summary")
-	p.Summary("topoopt_request_latency_seconds", telemetry.StageSummary{
-		Count:      snap.Latency.Count,
-		SumSeconds: snap.Latency.SumSeconds,
-		P50Seconds: snap.Latency.P50Seconds,
-		P90Seconds: snap.Latency.P90Seconds,
-		P99Seconds: snap.Latency.P99Seconds,
-		MaxSeconds: snap.Latency.MaxSeconds,
-	})
+	p.Summary("topoopt_request_latency_seconds", snap.Latency)
 
 	p.Family("topoopt_stage_latency_seconds", "Per-stage request latency: all-time count/sum, quantiles over the recent window.", "summary")
 	for _, name := range telemetry.StageNames(snap.Stages) {

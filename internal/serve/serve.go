@@ -261,7 +261,7 @@ func New(cfg Config) *Service {
 				if done < last {
 					last = 0
 				}
-				met.addProposals(int64(done - last))
+				met.proposals.Add(int64(done - last))
 				last = done
 				sink.Set(int64(done), int64(total))
 			}
@@ -371,7 +371,7 @@ func (s *Service) Close() {
 		// instead of the full append history. Skipped on crash (kill -9),
 		// where the WAL replay path takes over.
 		if err := s.store.wal.Compact(); err != nil {
-			s.met.storeError()
+			s.met.storeErrs.Add(1)
 		}
 		s.store.wal.Close()
 	}
@@ -588,10 +588,10 @@ func (s *Service) planRun(m *topoopt.Model, req PlanRequest, fp string) flightRu
 			o.Patience = warmPatience
 			o.OnWarmStart = func(adopted bool) {
 				if adopted {
-					s.met.warmImproved()
+					s.met.warmWins.Add(1)
 				}
 			}
-			s.met.warmStart()
+			s.met.warmStarts.Add(1)
 			// Mark the flight's progress sink so every waiter's trace (and
 			// /debug/requests) records that this search ran warm.
 			telemetry.ProgressFromContext(ctx).MarkWarm()
@@ -711,7 +711,7 @@ func (s *Service) joinOrCreate(fp string, run flightRun, onStart func()) (any, *
 	}
 	if v, ok := s.cache.get(fp); ok {
 		s.mu.Unlock()
-		s.met.cacheHit()
+		s.met.hits.Add(1)
 		return v, nil, nil
 	}
 	if f, ok := s.flights[fp]; ok {
@@ -728,7 +728,7 @@ func (s *Service) joinOrCreate(fp string, run flightRun, onStart func()) (any, *
 		if fireNow {
 			onStart()
 		}
-		s.met.coalesce()
+		s.met.coalesced.Add(1)
 		return nil, f, nil
 	}
 	if run == nil {
@@ -749,11 +749,11 @@ func (s *Service) joinOrCreate(fp string, run flightRun, onStart func()) (any, *
 	default:
 		cancel()
 		s.mu.Unlock()
-		s.met.queueFullDrop()
+		s.met.queueFull.Add(1)
 		return nil, nil, ErrQueueFull
 	}
 	s.mu.Unlock()
-	s.met.cacheMiss()
+	s.met.misses.Add(1)
 	return nil, f, nil
 }
 
@@ -780,7 +780,7 @@ func (s *Service) runFlight(f *flight, run flightRun) {
 	if err == nil {
 		// Completed executions feed the admission controller's service-
 		// time estimate (cancelled or failed runs would bias it short).
-		s.met.observeService(time.Since(t0).Seconds())
+		s.met.svc.Observe(time.Since(t0).Seconds())
 	}
 	s.finish(f, res, err)
 }
@@ -799,7 +799,7 @@ func (s *Service) finish(f *flight, res any, err error) {
 	close(f.done)
 	s.mu.Unlock()
 	if err == nil {
-		s.met.optimizedDone()
+		s.met.optimized.Add(1)
 		// Persist outside the service lock: a slow disk must not stall
 		// cache lookups. One flight per fingerprint, so appends for a
 		// given fp never race. It also runs after close(done) — the
@@ -838,7 +838,7 @@ func (s *Service) shedCheck(ctx context.Context) error {
 	if est == 0 || est <= time.Until(dl) {
 		return nil
 	}
-	s.met.shedDrop()
+	s.met.shed.Add(1)
 	return &OverloadError{QueueDepth: len(s.queue), EstimatedWait: est}
 }
 
@@ -847,7 +847,7 @@ func (s *Service) shedCheck(ctx context.Context) error {
 // time, spread over the worker pool. Zero until the service has
 // completed at least one optimization (a cold daemon never sheds).
 func (s *Service) estimatedWait() time.Duration {
-	mean := s.met.meanService()
+	mean := s.met.svc.Mean()
 	if mean <= 0 {
 		return 0
 	}
@@ -910,14 +910,15 @@ func CompareFingerprint(spec topoopt.ModelSpec, o topoopt.Options, archs []topoo
 // bypass the SearchThreads budget. Returns the results, the request
 // fingerprint, and whether the results came from the cache.
 func (s *Service) Compare(ctx context.Context, spec topoopt.ModelSpec, m *topoopt.Model, o topoopt.Options, archs []topoopt.Architecture) ([]topoopt.CompareResult, string, bool, error) {
-	return s.compare(ctx, spec, m, o, archs, nil)
+	fp := CompareFingerprint(spec, o, archs)
+	res, cached, err := s.compare(ctx, fp, m, o, archs, nil)
+	return res, fp, cached, err
 }
 
 // compare is the core of Compare: a flight on the shared execute path,
 // so it inherits plan's cache, coalescing, admission shedding and stage
 // breakdown (tr, when non-nil).
-func (s *Service) compare(ctx context.Context, spec topoopt.ModelSpec, m *topoopt.Model, o topoopt.Options, archs []topoopt.Architecture, tr *telemetry.Trace) ([]topoopt.CompareResult, string, bool, error) {
-	fp := CompareFingerprint(spec, o, archs)
+func (s *Service) compare(ctx context.Context, fp string, m *topoopt.Model, o topoopt.Options, archs []topoopt.Architecture, tr *telemetry.Trace) ([]topoopt.CompareResult, bool, error) {
 	res, hit, err := s.execute(ctx, fp, func() (flightRun, error) {
 		return func(ctx context.Context) (any, error) {
 			granted := s.chains.acquire(o.Parallelism)
@@ -932,9 +933,9 @@ func (s *Service) compare(ctx context.Context, spec topoopt.ModelSpec, m *topoop
 		}, nil
 	}, tr)
 	if err != nil {
-		return nil, fp, hit, err
+		return nil, hit, err
 	}
-	return res.([]topoopt.CompareResult), fp, hit, nil
+	return res.([]topoopt.CompareResult), hit, nil
 }
 
 // Job states.
@@ -1359,11 +1360,6 @@ func (s *Service) evictJobsLocked() {
 		}
 	}
 }
-
-// Telemetry returns the service's trace registry — the ring of recent
-// request breakdowns behind /debug/requests and the per-stage quantile
-// windows folded into /metrics. Never nil.
-func (s *Service) Telemetry() *telemetry.Registry { return s.tel }
 
 // Metrics returns a point-in-time snapshot of the service counters and
 // gauges.

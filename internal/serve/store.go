@@ -151,7 +151,7 @@ func (s *Service) persist(fp string, res any) {
 		err = s.store.wal.Append(wal.Record{Op: wal.OpPut, Kind: kind, Fp: fp, Payload: payload})
 	}
 	if err != nil {
-		s.met.storeError()
+		s.met.storeErrs.Add(1)
 	}
 }
 
@@ -163,7 +163,7 @@ func (s *Service) journalJob(kind, fp string, payload []byte) {
 		return
 	}
 	if err := s.store.wal.Append(wal.Record{Op: wal.OpJob, Kind: kind, Fp: fp, Payload: payload}); err != nil {
-		s.met.storeError()
+		s.met.storeErrs.Add(1)
 	}
 }
 
@@ -172,7 +172,7 @@ func (s *Service) journalJobDone(kind, fp string) {
 		return
 	}
 	if err := s.store.wal.Append(wal.Record{Op: wal.OpJobDone, Kind: kind, Fp: fp}); err != nil {
-		s.met.storeError()
+		s.met.storeErrs.Add(1)
 	}
 }
 
@@ -200,7 +200,7 @@ func (s *Service) warmFromStore() {
 		case wal.OpPut:
 			v, req, err := decodeStored(r.Kind, r.Payload)
 			if err != nil {
-				s.met.storeError()
+				s.met.storeErrs.Add(1)
 				continue
 			}
 			s.mu.Lock()

@@ -167,6 +167,13 @@ func TestPromMetricsEndpoint(t *testing.T) {
 		resp := tracePlan(t, ts, testRequest(1)) // 1 miss + 2 hits
 		resp.Body.Close()
 	}
+	// A handler publishes its trace after the response is written. A
+	// trace in the ring has already been folded into the stage windows.
+	for deadline := time.Now().Add(5 * time.Second); len(s.tel.Requests()) < 3; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("plan traces were not published")
+		}
+	}
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatalf("GET /metrics: %v", err)
@@ -217,7 +224,7 @@ func TestWriteMetricsTextDeterministic(t *testing.T) {
 		Draining:           true,
 		MeanServiceSeconds: 0.125,
 		MCMCProposals:      400,
-		Latency: LatencySummary{Count: 5, SumSeconds: 1.5, MeanSeconds: 0.3,
+		Latency: telemetry.StageSummary{Count: 5, SumSeconds: 1.5, MeanSeconds: 0.3,
 			P50Seconds: 0.2, P90Seconds: 0.5, P99Seconds: 0.6, MaxSeconds: 0.6},
 		Stages: map[string]telemetry.StageSummary{
 			"search": {Count: 2, SumSeconds: 0.9, P50Seconds: 0.45},
@@ -244,3 +251,165 @@ func TestWriteMetricsTextDeterministic(t *testing.T) {
 		t.Error("draining gauge missing")
 	}
 }
+
+// goldenSnapshot sets every counter, gauge, forwarding map and summary
+// of a MetricsSnapshot to a distinct value. The latency fields are
+// assigned one by one so the fixture does not name the summary's type.
+func goldenSnapshot() MetricsSnapshot {
+	snap := MetricsSnapshot{
+		Requests:           map[string]int64{"plan": 7, "compare": 2, "cluster": 1},
+		CacheHits:          5,
+		CacheMisses:        2,
+		CacheEntries:       3,
+		Coalesced:          1,
+		Optimizations:      2,
+		InFlight:           1,
+		QueueDepth:         4,
+		QueueCapacity:      64,
+		QueueFull:          6,
+		Shed:               8,
+		StoreErrors:        9,
+		JobsTracked:        10,
+		WarmedEntries:      11,
+		Draining:           true,
+		MeanServiceSeconds: 0.125,
+		MCMCProposals:      400,
+		WarmStarts:         12,
+		WarmStartImproved:  13,
+		SimIndexEntries:    14,
+		Stages: map[string]telemetry.StageSummary{
+			"search": {Count: 2, SumSeconds: 0.9, P50Seconds: 0.45, P90Seconds: 0.5, P99Seconds: 0.5, MaxSeconds: 0.5},
+			"decode": {Count: 5, SumSeconds: 0.001, P50Seconds: 0.0002, P90Seconds: 0.0003, P99Seconds: 0.0004, MaxSeconds: 0.0004},
+		},
+		Forwarded:        map[string]int64{"http://b:2": 3, "http://a:1": 15},
+		ForwardFallbacks: map[string]int64{"http://b:2": 1, "http://a:1": 0},
+		ForwardedServed:  16,
+	}
+	snap.Latency.Count = 7
+	snap.Latency.SumSeconds = 1.75
+	snap.Latency.MeanSeconds = 0.25
+	snap.Latency.P50Seconds = 0.2
+	snap.Latency.P90Seconds = 0.5
+	snap.Latency.P99Seconds = 0.625
+	snap.Latency.MaxSeconds = 0.75
+	return snap
+}
+
+// TestMetricsExpositionGolden pins the exact /metrics bytes and the
+// exact /v1/metrics "latency" object for one fully populated snapshot.
+func TestMetricsExpositionGolden(t *testing.T) {
+	snap := goldenSnapshot()
+	var text bytes.Buffer
+	if err := WriteMetricsText(&text, snap); err != nil {
+		t.Fatalf("WriteMetricsText: %v", err)
+	}
+	if got := text.String(); got != goldenMetricsText {
+		t.Errorf("/metrics render changed:\n%s", got)
+	}
+
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, snap)
+	var body map[string]json.RawMessage
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	if got := string(body["latency"]); got != goldenLatencyJSON {
+		t.Errorf("/v1/metrics latency object changed:\n%s", got)
+	}
+}
+
+const goldenLatencyJSON = `{"count":7,"sum_seconds":1.75,"mean_seconds":0.25,"p50_seconds":0.2,"p90_seconds":0.5,"p99_seconds":0.625,"max_seconds":0.75}`
+
+const goldenMetricsText = `# HELP topoopt_requests_total HTTP requests received, by endpoint.
+# TYPE topoopt_requests_total counter
+topoopt_requests_total{endpoint="cluster"} 1
+topoopt_requests_total{endpoint="compare"} 2
+topoopt_requests_total{endpoint="plan"} 7
+# HELP topoopt_cache_hits_total Plan-cache hits.
+# TYPE topoopt_cache_hits_total counter
+topoopt_cache_hits_total 5
+# HELP topoopt_cache_misses_total Plan-cache misses.
+# TYPE topoopt_cache_misses_total counter
+topoopt_cache_misses_total 2
+# HELP topoopt_coalesced_total Requests coalesced onto an already in-flight computation.
+# TYPE topoopt_coalesced_total counter
+topoopt_coalesced_total 1
+# HELP topoopt_optimizations_total Optimizations completed.
+# TYPE topoopt_optimizations_total counter
+topoopt_optimizations_total 2
+# HELP topoopt_queue_full_total Requests rejected because the work queue was full.
+# TYPE topoopt_queue_full_total counter
+topoopt_queue_full_total 6
+# HELP topoopt_shed_total Requests shed by the admission controller.
+# TYPE topoopt_shed_total counter
+topoopt_shed_total 8
+# HELP topoopt_store_errors_total Durable-store append or replay failures.
+# TYPE topoopt_store_errors_total counter
+topoopt_store_errors_total 9
+# HELP topoopt_mcmc_proposals_total MCMC proposals consumed across all searches.
+# TYPE topoopt_mcmc_proposals_total counter
+topoopt_mcmc_proposals_total 400
+# HELP topoopt_warm_start_total Searches seeded from the plan-similarity index.
+# TYPE topoopt_warm_start_total counter
+topoopt_warm_start_total 12
+# HELP topoopt_warm_start_improved_total Warm-started searches whose seed strictly beat the canonical start states.
+# TYPE topoopt_warm_start_improved_total counter
+topoopt_warm_start_improved_total 13
+# HELP topoopt_cache_entries Plan-cache entries resident.
+# TYPE topoopt_cache_entries gauge
+topoopt_cache_entries 3
+# HELP topoopt_in_flight Computations currently in flight.
+# TYPE topoopt_in_flight gauge
+topoopt_in_flight 1
+# HELP topoopt_queue_depth Tasks queued but not yet started.
+# TYPE topoopt_queue_depth gauge
+topoopt_queue_depth 4
+# HELP topoopt_queue_capacity Work-queue capacity.
+# TYPE topoopt_queue_capacity gauge
+topoopt_queue_capacity 64
+# HELP topoopt_jobs_tracked Async jobs tracked.
+# TYPE topoopt_jobs_tracked gauge
+topoopt_jobs_tracked 10
+# HELP topoopt_warmed_entries Cache entries replayed from the durable store on boot.
+# TYPE topoopt_warmed_entries gauge
+topoopt_warmed_entries 11
+# HELP topoopt_sim_index_entries Plans indexed for similarity warm starts.
+# TYPE topoopt_sim_index_entries gauge
+topoopt_sim_index_entries 14
+# HELP topoopt_draining 1 while the service is draining, 0 otherwise.
+# TYPE topoopt_draining gauge
+topoopt_draining 1
+# HELP topoopt_mean_service_seconds Mean wall time of recent completed searches (the admission controller's estimate).
+# TYPE topoopt_mean_service_seconds gauge
+topoopt_mean_service_seconds 0.125
+# HELP topoopt_forwarded_total Requests proxied to their owning peer, by peer.
+# TYPE topoopt_forwarded_total counter
+topoopt_forwarded_total{peer="http://a:1"} 15
+topoopt_forwarded_total{peer="http://b:2"} 3
+# HELP topoopt_forward_fallback_total Proxy attempts that fell back to local compute, by peer.
+# TYPE topoopt_forward_fallback_total counter
+topoopt_forward_fallback_total{peer="http://a:1"} 0
+topoopt_forward_fallback_total{peer="http://b:2"} 1
+# HELP topoopt_forwarded_served_total Requests served here that arrived via a peer's forward.
+# TYPE topoopt_forwarded_served_total counter
+topoopt_forwarded_served_total 16
+# HELP topoopt_request_latency_seconds End-to-end plan latency: all-time count/sum, quantiles over the recent window.
+# TYPE topoopt_request_latency_seconds summary
+topoopt_request_latency_seconds{quantile="0.5"} 0.2
+topoopt_request_latency_seconds{quantile="0.9"} 0.5
+topoopt_request_latency_seconds{quantile="0.99"} 0.625
+topoopt_request_latency_seconds_sum 1.75
+topoopt_request_latency_seconds_count 7
+# HELP topoopt_stage_latency_seconds Per-stage request latency: all-time count/sum, quantiles over the recent window.
+# TYPE topoopt_stage_latency_seconds summary
+topoopt_stage_latency_seconds{stage="decode",quantile="0.5"} 0.0002
+topoopt_stage_latency_seconds{stage="decode",quantile="0.9"} 0.0003
+topoopt_stage_latency_seconds{stage="decode",quantile="0.99"} 0.0004
+topoopt_stage_latency_seconds_sum{stage="decode"} 0.001
+topoopt_stage_latency_seconds_count{stage="decode"} 5
+topoopt_stage_latency_seconds{stage="search",quantile="0.5"} 0.45
+topoopt_stage_latency_seconds{stage="search",quantile="0.9"} 0.5
+topoopt_stage_latency_seconds{stage="search",quantile="0.99"} 0.5
+topoopt_stage_latency_seconds_sum{stage="search"} 0.9
+topoopt_stage_latency_seconds_count{stage="search"} 2
+`

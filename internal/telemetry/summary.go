@@ -2,51 +2,89 @@ package telemetry
 
 import (
 	"sort"
+	"sync"
 
 	"topoopt/internal/stats"
 )
 
-// window is a bounded ring of recent observations plus all-time
-// count/sum totals, so quantiles track recent behavior while _count and
-// _sum stay monotonic the way Prometheus summaries require. Callers
-// hold the registry mutex.
-type window struct {
-	buf   []float64
-	pos   int
-	count int64
-	sum   float64
+// Window is a bounded ring of recent observations plus all-time
+// count/sum totals, so the mean and quantiles track recent behavior
+// while _count and _sum stay monotonic the way Prometheus summaries
+// require. A running sum over the ring keeps Mean O(1). Every windowed
+// signal in topooptd is a Window; all methods are safe for concurrent
+// use.
+type Window struct {
+	mu     sync.Mutex
+	size   int
+	buf    []float64
+	pos    int
+	count  int64
+	sum    float64 // all-time
+	winSum float64 // over buf
 }
 
-func (w *window) observe(v float64) {
-	if len(w.buf) < stageWindow {
+// NewWindow returns a Window over the last size observations.
+func NewWindow(size int) *Window {
+	return &Window{size: size}
+}
+
+// Observe records one value, evicting the oldest once the ring is full.
+func (w *Window) Observe(v float64) {
+	w.mu.Lock()
+	if len(w.buf) < w.size {
 		w.buf = append(w.buf, v)
 	} else {
+		w.winSum -= w.buf[w.pos]
 		w.buf[w.pos] = v
-		w.pos = (w.pos + 1) % stageWindow
+		if w.pos++; w.pos == w.size {
+			w.pos = 0
+		}
 	}
+	w.winSum += v
 	w.count++
 	w.sum += v
+	w.mu.Unlock()
 }
 
-// StageSummary is the quantile view of one stage's window: Count and
-// SumSeconds are all-time totals; quantiles are over the recent window.
+// Mean returns the mean over the ring, or 0 before the first
+// observation.
+func (w *Window) Mean() float64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if len(w.buf) == 0 {
+		return 0
+	}
+	return w.winSum / float64(len(w.buf))
+}
+
+// StageSummary is the quantile view of one window: Count and
+// SumSeconds are all-time totals; the mean and quantiles are over the
+// recent window.
 type StageSummary struct {
-	Count      int64   `json:"count"`
-	SumSeconds float64 `json:"sum_seconds"`
-	P50Seconds float64 `json:"p50_seconds"`
-	P90Seconds float64 `json:"p90_seconds"`
-	P99Seconds float64 `json:"p99_seconds"`
-	MaxSeconds float64 `json:"max_seconds"`
+	Count       int64   `json:"count"`
+	SumSeconds  float64 `json:"sum_seconds"`
+	MeanSeconds float64 `json:"mean_seconds"`
+	P50Seconds  float64 `json:"p50_seconds"`
+	P90Seconds  float64 `json:"p90_seconds"`
+	P99Seconds  float64 `json:"p99_seconds"`
+	MaxSeconds  float64 `json:"max_seconds"`
 }
 
-func (w *window) summary() StageSummary {
+// Summary copies the ring under the lock and computes the mean and
+// quantiles outside it. The mean is summed afresh from the copy, free of
+// the rounding drift Mean's running sum can accumulate.
+func (w *Window) Summary() StageSummary {
+	w.mu.Lock()
 	s := StageSummary{Count: w.count, SumSeconds: w.sum}
-	if len(w.buf) > 0 {
-		cp := append([]float64(nil), w.buf...)
-		s.P50Seconds = stats.Percentile(cp, 50)
-		s.P90Seconds = stats.Percentile(cp, 90)
-		s.P99Seconds = stats.Percentile(cp, 99)
-		s.MaxSeconds = stats.Max(cp)
+	cp := append([]float64(nil), w.buf...)
+	w.mu.Unlock()
+	if len(cp) > 0 {
+		s.MeanSeconds = stats.Mean(cp)
+		sort.Float64s(cp)
+		s.P50Seconds = stats.PercentileSorted(cp, 50)
+		s.P90Seconds = stats.PercentileSorted(cp, 90)
+		s.P99Seconds = stats.PercentileSorted(cp, 99)
+		s.MaxSeconds = cp[len(cp)-1]
 	}
 	return s
 }
@@ -57,12 +95,10 @@ func (r *Registry) StageSummaries() map[string]StageSummary {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make(map[string]StageSummary)
-	for s := Stage(0); s < NumStages; s++ {
-		if r.stages[s].count > 0 {
-			out[stageNames[s]] = r.stages[s].summary()
+	for s, w := range r.stages {
+		if sum := w.Summary(); sum.Count > 0 {
+			out[stageNames[s]] = sum
 		}
 	}
 	return out
@@ -73,26 +109,10 @@ func (r *Registry) StageSummaries() map[string]StageSummary {
 // must use.
 func StageNames(m map[string]StageSummary) []string {
 	names := make([]string, 0, len(m))
-	for s := Stage(0); s < NumStages; s++ {
-		if _, ok := m[stageNames[s]]; ok {
-			names = append(names, stageNames[s])
+	for _, name := range stageNames {
+		if _, ok := m[name]; ok {
+			names = append(names, name)
 		}
-	}
-	// Forward-compatible: keys that are not stage labels (none today)
-	// sort after the enum block rather than vanishing.
-	if len(names) < len(m) {
-		known := make(map[string]bool, len(names))
-		for _, n := range names {
-			known[n] = true
-		}
-		var extra []string
-		for k := range m {
-			if !known[k] {
-				extra = append(extra, k)
-			}
-		}
-		sort.Strings(extra)
-		names = append(names, extra...)
 	}
 	return names
 }

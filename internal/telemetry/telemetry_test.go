@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -244,30 +245,90 @@ func TestObserveStageAndSummaries(t *testing.T) {
 	if names := StageNames(sums); len(names) != 1 || names[0] != "persist" {
 		t.Fatalf("StageNames = %v", names)
 	}
-	// Unknown keys still render (sorted after the enum block).
-	sums["zzz"] = StageSummary{}
-	sums["aaa"] = StageSummary{}
-	if names := StageNames(sums); len(names) != 3 || names[1] != "aaa" || names[2] != "zzz" {
-		t.Fatalf("StageNames with extras = %v", names)
-	}
 }
 
 // TestStageWindowWraps: the quantile window is bounded; quantiles follow
 // recent behavior while count/sum stay all-time.
 func TestStageWindowWraps(t *testing.T) {
-	reg := NewRegistry(2)
+	w := NewWindow(stageWindow)
 	for i := 0; i < stageWindow; i++ {
-		reg.ObserveStage(StageSearch, time.Second)
+		w.Observe(1)
 	}
 	for i := 0; i < stageWindow; i++ {
-		reg.ObserveStage(StageSearch, time.Millisecond)
+		w.Observe(1e-3)
 	}
-	s := reg.StageSummaries()["search"]
+	s := w.Summary()
 	if s.Count != 2*stageWindow {
 		t.Fatalf("count %d, want %d", s.Count, 2*stageWindow)
 	}
 	if s.MaxSeconds != 1e-3 {
 		t.Fatalf("max %v: old window values leaked into quantiles", s.MaxSeconds)
+	}
+	if size := NewRegistry(1).stages[StageSearch].size; size != stageWindow {
+		t.Fatalf("registry stage window size %d, want %d", size, stageWindow)
+	}
+}
+
+// TestWindowMeanCoversRecentWindow: after 2×size observations the
+// running mean and the summary mean cover only the last size values,
+// while Count and SumSeconds stay all-time.
+func TestWindowMeanCoversRecentWindow(t *testing.T) {
+	const size = 1024
+	w := NewWindow(size)
+	if w.Mean() != 0 {
+		t.Fatalf("empty window mean %v, want 0", w.Mean())
+	}
+	for i := 0; i < size; i++ {
+		w.Observe(6)
+	}
+	for i := 0; i < size; i++ {
+		w.Observe(float64(i % 4)) // mean 1.5
+	}
+	if m := w.Mean(); math.Abs(m-1.5) > 1e-9 {
+		t.Fatalf("Mean %v, want 1.5", m)
+	}
+	s := w.Summary()
+	if math.Abs(s.MeanSeconds-1.5) > 1e-9 {
+		t.Fatalf("Summary().MeanSeconds %v, want 1.5", s.MeanSeconds)
+	}
+	if s.Count != 2*size {
+		t.Fatalf("Count %d, want %d", s.Count, 2*size)
+	}
+	if want := 6.0*size + 1.5*size; s.SumSeconds != want {
+		t.Fatalf("SumSeconds %v, want %v", s.SumSeconds, want)
+	}
+	if s.MaxSeconds != 3 {
+		t.Fatalf("MaxSeconds %v, want 3", s.MaxSeconds)
+	}
+}
+
+// TestWindowConcurrent runs Observe, Mean and Summary from several
+// goroutines at once; run under -race.
+func TestWindowConcurrent(t *testing.T) {
+	const writers, per = 4, 500
+	w := NewWindow(64)
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				w.Observe(1)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per/10; i++ {
+				if m := w.Mean(); m != 0 && m != 1 {
+					t.Errorf("Mean %v, want 0 or 1", m)
+				}
+				w.Summary()
+			}
+		}()
+	}
+	wg.Wait()
+	if s := w.Summary(); s.Count != writers*per || s.SumSeconds != writers*per {
+		t.Fatalf("count %d sum %v, want %d", s.Count, s.SumSeconds, writers*per)
 	}
 }
 

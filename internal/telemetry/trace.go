@@ -201,11 +201,11 @@ var tracePool = sync.Pool{New: func() any { return new(Trace) }}
 // trace lifecycle, the ring of recent request records and the per-stage
 // latency windows. All methods are safe for concurrent use.
 type Registry struct {
-	mu     sync.Mutex
+	mu     sync.Mutex // guards the request ring; each Window has its own
 	ring   []record
 	pos    int
 	filled bool
-	stages [NumStages]window
+	stages [NumStages]*Window
 }
 
 // DefaultRingSize is the /debug/requests capacity when NewRegistry is
@@ -222,7 +222,11 @@ func NewRegistry(ringSize int) *Registry {
 	if ringSize <= 0 {
 		ringSize = DefaultRingSize
 	}
-	return &Registry{ring: make([]record, ringSize)}
+	r := &Registry{ring: make([]record, ringSize)}
+	for s := range r.stages {
+		r.stages[s] = NewWindow(stageWindow)
+	}
+	return r
 }
 
 // Begin starts a pooled trace for one request against endpoint. The
@@ -245,9 +249,7 @@ func (r *Registry) ObserveStage(s Stage, d time.Duration) {
 	if r == nil || s >= NumStages || d < 0 {
 		return
 	}
-	r.mu.Lock()
-	r.stages[s].observe(d.Seconds())
-	r.mu.Unlock()
+	r.stages[s].Observe(d.Seconds())
 }
 
 // record is the ring's value-typed entry: fixed-size so publishing a
@@ -265,29 +267,30 @@ type record struct {
 	warm        bool
 }
 
-// publish copies a finished trace into the ring and its stage durations
-// into the quantile windows.
+// publish folds a finished trace's stage durations into the quantile
+// windows, then copies it into the ring, so a request visible at
+// /debug/requests is already counted in the stage summaries.
 func (r *Registry) publish(t *Trace, fingerprint string, cached bool, status int) {
-	total := time.Since(t.t0)
+	now := time.Now()
+	for s, d := range t.durs {
+		if d > 0 {
+			r.stages[s].Observe(d.Seconds())
+		}
+	}
 	r.mu.Lock()
 	rec := &r.ring[r.pos]
-	rec.at = time.Now()
+	rec.at = now
 	rec.endpoint = t.endpoint
 	rec.fingerprint = fingerprint
 	rec.cached = cached
 	rec.status = status
-	rec.total = total
+	rec.total = now.Sub(t.t0)
 	rec.durs = t.durs
 	rec.searchDone, rec.searchTotal = t.searchDone, t.searchTotal
 	rec.warm = t.warm
 	r.pos++
 	if r.pos == len(r.ring) {
 		r.pos, r.filled = 0, true
-	}
-	for s := Stage(0); s < NumStages; s++ {
-		if d := t.durs[s]; d > 0 {
-			r.stages[s].observe(d.Seconds())
-		}
 	}
 	r.mu.Unlock()
 }
