@@ -26,7 +26,7 @@ SHELL := /bin/bash
 .PHONY: tier1 fmt vet build test race bench benchcheck serve-bench \
 	serve-benchcheck flexnet-bench flexnet-benchcheck fleet-bench \
 	fleet-benchcheck sweep-bench warm-bench slo-bench bench-smoke bench-history profile-serve \
-	profile-fleet profile-smoke chaos cover lint slo-smoke cluster-smoke ci
+	profile-fleet profile-smoke chaos cover lint slo-smoke cluster-smoke fuzz-smoke ci
 
 tier1: fmt vet build test
 
@@ -134,6 +134,17 @@ slo-smoke:
 # all members under the same SLO gate.
 cluster-smoke:
 	bash scripts/cluster_smoke.sh
+
+# Short native-fuzzing pass (go test -fuzz, no downloads). The target is
+# FuzzPlanWireRoundTrip: Plan decoding never panics and Marshal →
+# Unmarshal → Marshal is byte-stable, which restart-warm cache hits rely
+# on because they serve stored plan bytes verbatim. The seed corpus in
+# testdata/fuzz/ is a real ~52 KB dlrm n=32 plan; minimizing inputs
+# derived from it would take the whole budget, so minimization is capped.
+# A failing input is written to testdata/fuzz/ and becomes a regression
+# entry once committed.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzPlanWireRoundTrip$$' -fuzztime 20s -fuzzminimizetime 2s .
 
 # Short-benchtime pass over every recorded suite. Warn-only: CI runners
 # are noisy and 0.2s samples are for catching order-of-magnitude
@@ -259,4 +270,4 @@ lint:
 	fi
 
 # The exact job list of .github/workflows/ci.yml, runnable locally.
-ci: tier1 race chaos cover lint bench-smoke profile-smoke slo-smoke cluster-smoke
+ci: tier1 race chaos cover lint fuzz-smoke bench-smoke profile-smoke slo-smoke cluster-smoke

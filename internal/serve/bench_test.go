@@ -17,17 +17,62 @@ import (
 
 // BenchmarkServeCacheHit measures the serving hot path: POST /v1/plan for
 // a fingerprint already in the cache — HTTP handling, request decode +
-// validation, cache lookup and plan (re)serialization, no optimization.
+// validation, cache lookup and the write of the cached plan bytes, no
+// optimization. Its 4-server stub plan is ~1 KB, so fixed per-request
+// costs dominate; BenchmarkServeCacheHitLarge covers per-byte costs.
 // Recorded into BENCH_serve.json by `make serve-bench`.
 func BenchmarkServeCacheHit(b *testing.B) {
-	plan := stubPlan(b)
+	benchCacheHit(b, stubPlan(b), testRequest(1))
+}
+
+// BenchmarkServeCacheHitLarge is BenchmarkServeCacheHit over a real
+// dlrm n=32 d=4 plan (~52 KB of JSON), the fixed workload of the layered
+// benchmark table, so the per-byte cost of a hit response shows.
+func BenchmarkServeCacheHitLarge(b *testing.B) {
+	benchCacheHit(b, largePlan(b), largeRequest())
+}
+
+// largeRequest is the dlrm n=32 d=4 request largePlan answers.
+func largeRequest() PlanRequest {
+	return PlanRequest{
+		Model:   topoopt.ModelSpec{Preset: "dlrm", Section: "5.3"},
+		Options: topoopt.Options{Servers: 32, Degree: 4, LinkBandwidth: 100e9, Seed: 1},
+	}
+}
+
+var (
+	largePlanOnce sync.Once
+	largePlanVal  *topoopt.Plan
+)
+
+// largePlan computes the plan for largeRequest once per test binary.
+func largePlan(b *testing.B) *topoopt.Plan {
+	largePlanOnce.Do(func() {
+		req := largeRequest()
+		m, err := req.Model.Resolve()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if largePlanVal, err = topoopt.Optimize(m, req.Options); err != nil {
+			b.Fatalf("building the dlrm n=32 plan: %v", err)
+		}
+	})
+	if largePlanVal == nil {
+		b.Fatal("no dlrm n=32 plan")
+	}
+	return largePlanVal
+}
+
+// benchCacheHit times POST /v1/plan of req against a daemon whose cache
+// already holds plan under req's fingerprint.
+func benchCacheHit(b *testing.B, plan *topoopt.Plan, req PlanRequest) {
 	s := New(Config{Workers: 2, Optimize: func(ctx context.Context, m *topoopt.Model, o topoopt.Options) (*topoopt.Plan, error) {
 		return plan, nil
 	}})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	body, err := json.Marshal(testRequest(1))
+	body, err := json.Marshal(req)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -134,8 +179,9 @@ func BenchmarkServeFingerprint(b *testing.B) {
 	}
 }
 
-// BenchmarkServePlanEncode measures serializing a realistic Plan — the
-// dominant per-byte cost of a cache-hit response.
+// BenchmarkServePlanEncode measures serializing a realistic Plan: the
+// one encode a completed plan flight pays, whose bytes every later cache
+// hit and the WAL record reuse.
 func BenchmarkServePlanEncode(b *testing.B) {
 	plan := stubPlan(b)
 	b.ReportAllocs()

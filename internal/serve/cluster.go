@@ -331,14 +331,18 @@ func (s *Service) handleCluster(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Cluster())
 }
 
-// cachePeek reports whether fp is already in the local plan cache,
-// without counting a hit or touching LRU recency semantics beyond the
-// usual get. A sharded daemon serves its own cached copy instead of
-// forwarding: results are deterministic in the fingerprint, so a local
-// copy is byte-identical to the owner's.
-func (s *Service) cachePeek(fp string) bool {
+// serveLocal reports whether a request for fp that another member owns
+// is served here anyway, in one critical section: the daemon is draining
+// (drain semantics stay local), or its cache already holds the result. A
+// cache check counts no hit and touches recency like any get; results are
+// deterministic in the fingerprint, so a local copy is byte-identical to
+// the owner's.
+func (s *Service) serveLocal(fp string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.draining {
+		return true
+	}
 	_, ok := s.cache.get(fp)
 	return ok
 }
@@ -361,10 +365,7 @@ func (s *Service) forward(ctx context.Context, w http.ResponseWriter, r *http.Re
 	if !remote {
 		return false, 0
 	}
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining || s.cachePeek(fp) {
+	if s.serveLocal(fp) {
 		return false, 0
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, owner+r.URL.Path, bytes.NewReader(body))

@@ -81,6 +81,34 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// resultTail closes every writeResult response.
+var resultTail = []byte("}\n")
+
+// writeResult writes the 200 response of a plan, compare or sweep
+// request: {"fingerprint":fp,"cached":cached,"<field>":body}\n, where
+// body is the result's canonical JSON from the cache entry, spliced in
+// verbatim. The bytes are exactly what encoding/json writes for
+// PlanResponse, CompareResponse and SweepResponse (a fingerprint is
+// lowercase hex, which needs no escaping); only the per-request fields
+// are encoded here.
+func writeResult(w http.ResponseWriter, fp string, cached bool, field string, body []byte) {
+	head := make([]byte, 0, 64+len(fp)+len(field))
+	head = append(head, `{"fingerprint":"`...)
+	head = append(head, fp...)
+	head = append(head, `","cached":`...)
+	head = strconv.AppendBool(head, cached)
+	head = append(head, `,"`...)
+	head = append(head, field...)
+	head = append(head, `":`...)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(head)+len(body)+len(resultTail)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(head)
+	w.Write(body)
+	w.Write(resultTail)
+}
+
 // retrySeconds converts a wait estimate to a Retry-After value: at
 // least 1 second, rounded up, so a client that honors the header never
 // hammers a saturated server sub-second.
@@ -288,7 +316,7 @@ func (s *Service) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	plan, fp, cached, err := s.plan(ctx, req, fp, resolved(m), tr)
+	res, cached, err := s.plan(ctx, req, fp, resolved(m), tr)
 	if err != nil {
 		aerr := s.serviceError(err)
 		tr.Finish(fp, false, aerr.Status)
@@ -297,11 +325,8 @@ func (s *Service) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	s.met.lat.Observe(time.Since(start).Seconds())
 	tr.Start(telemetry.StageEncode)
-	// The header renders before the body is encoded (headers must precede
-	// WriteHeader), so its encode figure is ~0; the full encode time still
-	// lands in the published /debug/requests record and stage quantiles.
 	w.Header().Set("X-Trace", string(tr.AppendHeader(nil)))
-	writeJSON(w, http.StatusOK, PlanResponse{Fingerprint: fp, Cached: cached, Plan: plan})
+	writeResult(w, fp, cached, "plan", res.body)
 	tr.Finish(fp, cached, http.StatusOK)
 }
 
@@ -381,11 +406,7 @@ func (s *Service) handleCompare(w http.ResponseWriter, r *http.Request) {
 	}
 	tr.Start(telemetry.StageEncode)
 	w.Header().Set("X-Trace", string(tr.AppendHeader(nil)))
-	writeJSON(w, http.StatusOK, CompareResponse{
-		Fingerprint: fp,
-		Cached:      cached,
-		Results:     res,
-	})
+	writeResult(w, fp, cached, "results", res.body)
 	tr.Finish(fp, cached, http.StatusOK)
 }
 
@@ -518,7 +539,7 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// Sweep latencies are not observed, like compares: a K-replica fan-out
 	// is seconds-to-minutes scale and would swamp the serving-path
 	// quantiles.
-	res, fp, cached, err := s.Sweep(ctx, req.Spec, req.Replicas, tr)
+	res, fp, cached, err := s.sweep(ctx, req.Spec, req.Replicas, tr)
 	if err != nil {
 		aerr := s.serviceError(err)
 		tr.Finish(fp, false, aerr.Status)
@@ -527,7 +548,7 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	tr.Start(telemetry.StageEncode)
 	w.Header().Set("X-Trace", string(tr.AppendHeader(nil)))
-	writeJSON(w, http.StatusOK, SweepResponse{Fingerprint: fp, Cached: cached, Sweep: res})
+	writeResult(w, fp, cached, "sweep", res.body)
 	tr.Finish(fp, cached, http.StatusOK)
 }
 

@@ -144,15 +144,15 @@ func fingerprint(key any) string {
 // wait on. waiters counts them; when the last one abandons the request,
 // the flight's context is cancelled and the computation aborts at its next
 // cancellation check (between MCMC iterations, between fleet events).
-// The result is held as `any`: the submitting path knows its concrete
-// type and casts on the way out, so one coalescing/caching machinery
-// serves every request shape.
+// The result value is held as `any`: the submitting path knows its
+// concrete type and casts on the way out, so one coalescing/caching
+// machinery serves every request shape.
 type flight struct {
 	fp      string
 	ctx     context.Context
 	cancel  context.CancelFunc
 	done    chan struct{}
-	res     any
+	res     result
 	err     error
 	waiters int
 	// started flips when a worker dequeues the task; onStart callbacks
@@ -173,8 +173,19 @@ type flight struct {
 	finishedAt time.Time
 }
 
-// flightRun computes a flight's result under the flight's context.
+// flightRun computes a flight's result under the flight's context. A
+// plan run returns a planned; every other run returns the result value
+// itself.
 type flightRun func(ctx context.Context) (any, error)
+
+// planned is a plan run's output: the plan plus the canonical request
+// that produced it. finish unwraps it, indexing the request in the
+// similarity index and writing it into the plan's WAL record; the cache,
+// waiters and jobs only ever see the plan.
+type planned struct {
+	plan *topoopt.Plan
+	req  PlanRequest
+}
 
 // Service is the planning service. Create with New, serve HTTP with
 // Handler, stop with Close.
@@ -435,13 +446,18 @@ func (s *Service) awaitIdle(ctx context.Context) bool {
 // caller's wait; the underlying optimization keeps running while any other
 // request still waits on it.
 func (s *Service) Plan(ctx context.Context, req PlanRequest) (*topoopt.Plan, string, bool, error) {
-	return s.plan(ctx, req, req.Fingerprint(), func() (*topoopt.Model, error) {
+	fp := req.Fingerprint()
+	res, hit, err := s.plan(ctx, req, fp, func() (*topoopt.Model, error) {
 		m, err := req.Model.Resolve()
 		if err == nil {
 			err = req.Options.Validate()
 		}
 		return m, err
 	}, nil)
+	if err != nil {
+		return nil, fp, hit, err
+	}
+	return res.val.(*topoopt.Plan), fp, hit, nil
 }
 
 // resolved wraps an already-resolved model for the plan call (the HTTP
@@ -458,18 +474,14 @@ func resolved(m *topoopt.Model) func() (*topoopt.Model, error) {
 // breakdown — cache lookup, admission, queue wait and search time, the
 // latter two clipped to this waiter's own wait window so coalesced
 // joiners never claim time they did not spend waiting.
-func (s *Service) plan(ctx context.Context, req PlanRequest, fp string, resolve func() (*topoopt.Model, error), tr *telemetry.Trace) (*topoopt.Plan, string, bool, error) {
-	res, hit, err := s.execute(ctx, fp, func() (flightRun, error) {
+func (s *Service) plan(ctx context.Context, req PlanRequest, fp string, resolve func() (*topoopt.Model, error), tr *telemetry.Trace) (result, bool, error) {
+	return s.execute(ctx, fp, func() (flightRun, error) {
 		m, rerr := resolve()
 		if rerr != nil {
 			return nil, rerr
 		}
 		return s.planRun(m, req, fp), nil
 	}, tr)
-	if err != nil {
-		return nil, fp, hit, err
-	}
-	return res.(*topoopt.Plan), fp, hit, nil
 }
 
 // execute is the shared cache → coalesce → admit → queue → wait sequence
@@ -477,16 +489,17 @@ func (s *Service) plan(ctx context.Context, req PlanRequest, fp string, resolve 
 // rides. makeRun is only invoked on the flight-creating path, outside the
 // service lock: cache hits and coalesced joins are served by fingerprint
 // alone, so they never pay for request materialization (a cached
-// fingerprint implies the request was valid). The returned bool reports
-// a cache hit.
-func (s *Service) execute(ctx context.Context, fp string, makeRun func() (flightRun, error), tr *telemetry.Trace) (any, bool, error) {
+// fingerprint implies the request was valid). The returned result
+// carries the value and its canonical bytes; the bool reports a cache
+// hit.
+func (s *Service) execute(ctx context.Context, fp string, makeRun func() (flightRun, error), tr *telemetry.Trace) (result, bool, error) {
 	tr.Start(telemetry.StageCache)
 	cached, f, err := s.joinOrCreate(fp, nil, nil)
 	tr.End()
 	if err != nil {
-		return nil, false, err
+		return result{}, false, err
 	}
-	if cached != nil {
+	if cached.val != nil {
 		return cached, true, nil
 	}
 	if f == nil {
@@ -498,7 +511,7 @@ func (s *Service) execute(ctx context.Context, fp string, makeRun func() (flight
 		serr := s.shedCheck(ctx)
 		tr.End()
 		if serr != nil {
-			return nil, false, serr
+			return result{}, false, serr
 		}
 		// Materialize the run without holding the lock, then race to
 		// create the flight (a concurrent identical request may win, in
@@ -507,15 +520,15 @@ func (s *Service) execute(ctx context.Context, fp string, makeRun func() (flight
 		run, rerr := makeRun()
 		tr.End()
 		if rerr != nil {
-			return nil, false, rerr
+			return result{}, false, rerr
 		}
 		tr.Start(telemetry.StageCache)
 		cached, f, err = s.joinOrCreate(fp, run, nil)
 		tr.End()
 		if err != nil {
-			return nil, false, err
+			return result{}, false, err
 		}
-		if cached != nil {
+		if cached.val != nil {
 			return cached, true, nil
 		}
 	}
@@ -577,8 +590,9 @@ func overlap(a0, a1, b0, b1 time.Time) time.Duration {
 //   - Anytime streaming: the search's best-so-far is published into the
 //     service's partial slot at every improvement, so async jobs expose a
 //     monotonically improving `partial` result while running.
-//   - Indexing: the completed plan joins the similarity index, becoming a
-//     warm-start donor for future near-misses.
+//   - Indexing: the run returns the canonical request with the plan, so
+//     finish indexes the completed plan (a warm-start donor for future
+//     near-misses) and writes the request into its WAL record.
 func (s *Service) planRun(m *topoopt.Model, req PlanRequest, fp string) flightRun {
 	creq := PlanRequest{Model: req.Model.Canonical(), Options: req.Options.Canonical()}
 	return func(ctx context.Context) (any, error) {
@@ -603,8 +617,7 @@ func (s *Service) planRun(m *topoopt.Model, req PlanRequest, fp string) flightRu
 		if err != nil {
 			return nil, err
 		}
-		s.simAdd(fp, creq)
-		return p, nil
+		return planned{plan: p, req: creq}, nil
 	}
 }
 
@@ -625,28 +638,11 @@ func (s *Service) simNeighbor(creq PlanRequest, selfFp string) (topoopt.Strategy
 	if !ok {
 		return topoopt.Strategy{}, false
 	}
-	p, ok := v.(*topoopt.Plan)
+	p, ok := v.val.(*topoopt.Plan)
 	if !ok || p == nil {
 		return topoopt.Strategy{}, false
 	}
 	return p.Strategy, true
-}
-
-// simAdd indexes a completed plan's canonical request under its
-// fingerprint.
-func (s *Service) simAdd(fp string, creq PlanRequest) {
-	s.mu.Lock()
-	s.sim.add(fp, creq)
-	s.mu.Unlock()
-}
-
-// simRequest returns the canonical request indexed under fp, if any —
-// the persist path uses it to write the request into the WAL alongside
-// the plan.
-func (s *Service) simRequest(fp string) (PlanRequest, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sim.request(fp)
 }
 
 // beginPartial registers the anytime slot a starting plan flight streams
@@ -673,7 +669,7 @@ func (s *Service) endPartial(fp string, ps *partialState) {
 // result always wins a race against cancellation or shutdown: during a
 // drain the flight may finish in the same instant the service closes,
 // and the waiter must report the work that was actually done.
-func (s *Service) waitFlight(ctx context.Context, f *flight) (any, error) {
+func (s *Service) waitFlight(ctx context.Context, f *flight) (result, error) {
 	select {
 	case <-f.done:
 		return f.res, f.err
@@ -684,35 +680,37 @@ func (s *Service) waitFlight(ctx context.Context, f *flight) (any, error) {
 		default:
 		}
 		s.abandon(f)
-		return nil, ctx.Err()
+		return result{}, ctx.Err()
 	case <-s.baseCtx.Done():
 		select {
 		case <-f.done:
 			return f.res, f.err
 		default:
 		}
-		return nil, ErrClosed
+		return result{}, ErrClosed
 	}
 }
 
 // joinOrCreate is the locked cache-lookup → flight-join → flight-create
-// sequence. With run == nil it only looks up and joins, returning
-// (nil, nil, nil) on a miss so the caller can resolve the request's
-// inputs lock-free and call again with run set.
-func (s *Service) joinOrCreate(fp string, run flightRun, onStart func()) (any, *flight, error) {
+// sequence. A hit returns the cached result (value and canonical
+// bytes); a join or create returns the flight. With run == nil it only
+// looks up and joins, returning a zero result and no flight on a miss so
+// the caller can resolve the request's inputs lock-free and call again
+// with run set.
+func (s *Service) joinOrCreate(fp string, run flightRun, onStart func()) (result, *flight, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, nil, ErrClosed
+		return result{}, nil, ErrClosed
 	}
 	if s.draining {
 		s.mu.Unlock()
-		return nil, nil, ErrDraining
+		return result{}, nil, ErrDraining
 	}
-	if v, ok := s.cache.get(fp); ok {
+	if res, ok := s.cache.get(fp); ok {
 		s.mu.Unlock()
 		s.met.hits.Add(1)
-		return v, nil, nil
+		return res, nil, nil
 	}
 	if f, ok := s.flights[fp]; ok {
 		f.waiters++
@@ -729,11 +727,11 @@ func (s *Service) joinOrCreate(fp string, run flightRun, onStart func()) (any, *
 			onStart()
 		}
 		s.met.coalesced.Add(1)
-		return nil, f, nil
+		return result{}, f, nil
 	}
 	if run == nil {
 		s.mu.Unlock()
-		return nil, nil, nil
+		return result{}, nil, nil
 	}
 	prog := new(telemetry.Progress)
 	fctx, cancel := context.WithCancel(telemetry.ContextWithProgress(s.baseCtx, prog))
@@ -750,11 +748,11 @@ func (s *Service) joinOrCreate(fp string, run flightRun, onStart func()) (any, *
 		cancel()
 		s.mu.Unlock()
 		s.met.queueFull.Add(1)
-		return nil, nil, ErrQueueFull
+		return result{}, nil, ErrQueueFull
 	}
 	s.mu.Unlock()
 	s.met.misses.Add(1)
-	return nil, f, nil
+	return result{}, f, nil
 }
 
 // runFlight executes one flight on a worker: mark started, fire the
@@ -785,14 +783,35 @@ func (s *Service) runFlight(f *flight, run flightRun) {
 	s.finish(f, res, err)
 }
 
-// finish publishes a flight's result, caching successes.
-func (s *Service) finish(f *flight, res any, err error) {
+// finish publishes a flight's result, caching successes. A success is
+// encoded to its canonical JSON here, once and outside the service lock:
+// every cache hit writes those bytes verbatim and the WAL record reuses
+// them. A plan's canonical request joins the similarity index in the same
+// critical section that caches the plan.
+func (s *Service) finish(f *flight, out any, err error) {
+	var (
+		res  result
+		kind string
+		creq *PlanRequest
+	)
+	if err == nil {
+		if p, ok := out.(planned); ok {
+			out, creq = p.plan, &p.req
+		}
+		var body []byte
+		if kind, body, err = encodeResult(out); err == nil {
+			res = result{val: out, body: body}
+		}
+	}
 	s.mu.Lock()
 	if s.flights[f.fp] == f {
 		delete(s.flights, f.fp)
 	}
 	if err == nil {
 		s.cache.add(f.fp, res)
+		if creq != nil {
+			s.sim.add(f.fp, *creq)
+		}
 	}
 	f.res, f.err = res, err
 	f.finishedAt = time.Now()
@@ -805,21 +824,9 @@ func (s *Service) finish(f *flight, res any, err error) {
 		// given fp never race. It also runs after close(done) — the
 		// response is already released — so the persist stage feeds the
 		// stage quantiles but never a request's own breakdown.
-		s.observedPersist(f.fp, res)
+		s.persist(f.fp, kind, res.body, creq)
 	}
 	f.cancel()
-}
-
-// observedPersist is persist with its wall time folded into the persist
-// stage's quantile window (only when a store is configured; a no-op
-// persist would flood the window with zeros).
-func (s *Service) observedPersist(fp string, res any) {
-	if s.store == nil {
-		return
-	}
-	t0 := time.Now()
-	s.persist(fp, res)
-	s.tel.ObserveStage(telemetry.StagePersist, time.Since(t0))
 }
 
 // shedCheck is the admission controller: requests carrying a deadline
@@ -912,14 +919,17 @@ func CompareFingerprint(spec topoopt.ModelSpec, o topoopt.Options, archs []topoo
 func (s *Service) Compare(ctx context.Context, spec topoopt.ModelSpec, m *topoopt.Model, o topoopt.Options, archs []topoopt.Architecture) ([]topoopt.CompareResult, string, bool, error) {
 	fp := CompareFingerprint(spec, o, archs)
 	res, cached, err := s.compare(ctx, fp, m, o, archs, nil)
-	return res, fp, cached, err
+	if err != nil {
+		return nil, fp, cached, err
+	}
+	return res.val.([]topoopt.CompareResult), fp, cached, nil
 }
 
 // compare is the core of Compare: a flight on the shared execute path,
 // so it inherits plan's cache, coalescing, admission shedding and stage
 // breakdown (tr, when non-nil).
-func (s *Service) compare(ctx context.Context, fp string, m *topoopt.Model, o topoopt.Options, archs []topoopt.Architecture, tr *telemetry.Trace) ([]topoopt.CompareResult, bool, error) {
-	res, hit, err := s.execute(ctx, fp, func() (flightRun, error) {
+func (s *Service) compare(ctx context.Context, fp string, m *topoopt.Model, o topoopt.Options, archs []topoopt.Architecture, tr *telemetry.Trace) (result, bool, error) {
+	return s.execute(ctx, fp, func() (flightRun, error) {
 		return func(ctx context.Context) (any, error) {
 			granted := s.chains.acquire(o.Parallelism)
 			defer s.chains.release(granted)
@@ -932,10 +942,6 @@ func (s *Service) compare(ctx context.Context, fp string, m *topoopt.Model, o to
 			return res, nil
 		}, nil
 	}, tr)
-	if err != nil {
-		return nil, hit, err
-	}
-	return res.([]topoopt.CompareResult), hit, nil
 }
 
 // Job states.
@@ -1102,18 +1108,19 @@ func (s *Service) sweepRun(spec topoopt.FleetSpec, replicas int) flightRun {
 	}
 }
 
-// Sweep runs a K-replica Monte Carlo sweep synchronously, riding the
+// sweep runs a K-replica Monte Carlo sweep synchronously, riding the
 // same fingerprint cache, in-flight coalescing and admission control as
 // plans: concurrent identical sweeps cost one fan-out, repeated sweeps
 // are served from the LRU (and the WAL across restarts), and sweeps that
 // cannot meet their deadline are shed up front. Returns the merged
-// distributions, the fingerprint, and whether the result was cached.
-func (s *Service) Sweep(ctx context.Context, spec topoopt.FleetSpec, replicas int, tr *telemetry.Trace) (*topoopt.FleetSweepResult, string, bool, error) {
+// distributions with their canonical bytes, the fingerprint, and whether
+// the result was cached.
+func (s *Service) sweep(ctx context.Context, spec topoopt.FleetSpec, replicas int, tr *telemetry.Trace) (result, string, bool, error) {
 	if err := spec.Validate(); err != nil {
-		return nil, "", false, err
+		return result{}, "", false, err
 	}
 	if replicas < 1 || replicas > topoopt.MaxFleetSweepReplicas {
-		return nil, "", false, fmt.Errorf("serve: sweep replicas must be in [1, %d], got %d",
+		return result{}, "", false, fmt.Errorf("serve: sweep replicas must be in [1, %d], got %d",
 			topoopt.MaxFleetSweepReplicas, replicas)
 	}
 	sp := spec.Canonical()
@@ -1121,10 +1128,7 @@ func (s *Service) Sweep(ctx context.Context, spec topoopt.FleetSpec, replicas in
 	res, hit, err := s.execute(ctx, fp, func() (flightRun, error) {
 		return s.sweepRun(sp, replicas), nil
 	}, tr)
-	if err != nil {
-		return nil, fp, hit, err
-	}
-	return res.(*topoopt.FleetSweepResult), fp, hit, nil
+	return res, fp, hit, err
 }
 
 // SubmitSweep registers an async Monte Carlo sweep job: same flight
@@ -1206,8 +1210,8 @@ func (s *Service) submitAsync(fp string, run flightRun, kind string, journal []b
 		s.mu.Unlock()
 		return Job{}, err
 	}
-	if cached != nil {
-		finish(cached, nil)
+	if cached.val != nil {
+		finish(cached.val, nil)
 		// A journaled job resolving straight from the cache is terminal
 		// too: the boot-time re-submission path lands here when a job's
 		// put record survived a crash alongside its journal entry, and
@@ -1222,7 +1226,7 @@ func (s *Service) submitAsync(fp string, run flightRun, kind string, journal []b
 			defer s.jobWG.Done()
 			defer cancel()
 			res, werr := s.waitFlight(jctx, f)
-			finish(res, werr)
+			finish(res.val, werr)
 			// A job killed by shutdown (drain deadline or Close) is not
 			// terminal: its journal entry must survive so the next boot
 			// re-enqueues it. Success, genuine failure and user cancels

@@ -99,21 +99,6 @@ func (x *simIndex) remove(fp string) {
 	}
 }
 
-// request returns the canonical request indexed under fp. The second
-// return is false when fp is not indexed.
-func (x *simIndex) request(fp string) (PlanRequest, bool) {
-	key, ok := x.byFp[fp]
-	if !ok {
-		return PlanRequest{}, false
-	}
-	for _, e := range x.buckets[key] {
-		if e.fp == fp {
-			return e.req, true
-		}
-	}
-	return PlanRequest{}, false
-}
-
 func (x *simIndex) len() int { return len(x.byFp) }
 
 // nearest returns the fingerprint of the closest indexed neighbor of

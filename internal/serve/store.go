@@ -3,8 +3,10 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"time"
 
 	"topoopt"
+	"topoopt/internal/telemetry"
 	"topoopt/internal/wal"
 )
 
@@ -24,10 +26,12 @@ const (
 // Store is the durable plan store: a typed adapter over internal/wal
 // that the Service uses to persist every completed result, journal
 // queued async jobs, warm its LRU on boot, and compact on clean
-// shutdown. Results are stored as their canonical JSON — plans,
-// compare results and fleet results are all byte-stable under
-// Marshal → Unmarshal → Marshal, which is what makes a restart-warm
-// cache hit byte-identical to the pre-crash response.
+// shutdown. Results are stored as their canonical JSON, the same bytes
+// the cache serves, so a restart-warm cache hit writes the stored bytes
+// verbatim and is byte-identical to the pre-crash response. The decoded
+// value rides along for in-process readers (Service.Plan, jobs, the
+// similarity index); results are byte-stable under Marshal → Unmarshal
+// → Marshal, so those readers see the same result too.
 type Store struct {
 	wal *wal.Store
 }
@@ -47,52 +51,60 @@ func OpenStore(dir string, opts ...wal.Option) (*Store, error) {
 // Len reports the number of persisted results.
 func (st *Store) Len() int { return st.wal.Len() }
 
-// encodeResult maps a cached result to its WAL kind and canonical JSON.
-func encodeResult(res any) (kind string, payload []byte, err error) {
+// encodeResult maps a completed result to its WAL kind and canonical
+// JSON. It runs once per completed flight: the bytes become the cache
+// entry's body (written verbatim on every HTTP hit) and the WAL payload
+// (inside the storedPlan wrapper for plans).
+func encodeResult(res any) (kind string, body []byte, err error) {
 	switch v := res.(type) {
 	case *topoopt.Plan:
 		kind = kindPlan
-		payload, err = json.Marshal(v)
 	case []topoopt.CompareResult:
 		kind = kindCompare
-		payload, err = json.Marshal(v)
 	case *topoopt.FleetResult:
 		kind = kindFleet
-		payload, err = json.Marshal(v)
 	case *topoopt.FleetSweepResult:
 		kind = kindSweep
-		payload, err = json.Marshal(v)
 	default:
-		err = fmt.Errorf("serve: unstorable result type %T", res)
+		return "", nil, fmt.Errorf("serve: unstorable result type %T", v)
 	}
-	return kind, payload, err
+	body, err = json.Marshal(res)
+	return kind, body, err
 }
 
-// storedPlan is the durable form of a plan record: the plan plus the
-// canonical request that produced it, so a restart rebuilds the
-// plan-similarity index (not just the exact-fingerprint LRU) from the
-// WAL and near-miss requests warm-start across daemon restarts. Request
-// is optional: records written before the index existed are bare Plan
-// JSON, and decodeStored falls back to that shape.
+// storedPlan is the durable form of a plan record: the plan's canonical
+// JSON plus the canonical request that produced it, so a restart
+// rebuilds the plan-similarity index (not just the exact-fingerprint
+// LRU) from the WAL and near-miss requests warm-start across daemon
+// restarts. Every plan the service computes is written in this form.
+// Stores written before the index existed hold bare Plan JSON instead;
+// decodeStored still reads those.
 type storedPlan struct {
-	Request *PlanRequest  `json:"request,omitempty"`
-	Plan    *topoopt.Plan `json:"plan"`
+	Request *PlanRequest    `json:"request,omitempty"`
+	Plan    json.RawMessage `json:"plan"`
 }
 
-// decodeStored reverses persist for OpPut records: the cache value plus,
-// for plan records that carry one, the canonical request to re-index.
-func decodeStored(kind string, payload []byte) (any, *PlanRequest, error) {
+// decodeStored reverses persist for OpPut records: the cache entry —
+// the decoded value plus the stored canonical bytes, served verbatim
+// without re-encoding — and, for wrapped plan records, the canonical
+// request to re-index.
+func decodeStored(kind string, payload []byte) (result, *PlanRequest, error) {
+	body := payload
+	var req *PlanRequest
 	if kind == kindPlan {
 		var sp storedPlan
-		// A wrapped record has a non-nil "plan" member; legacy records are
-		// the bare Plan JSON (whose fields don't collide with the wrapper,
-		// so sp.Plan stays nil) and take the fallback path below.
+		// A wrapped record has a "plan" member; legacy records are the bare
+		// Plan JSON (whose fields don't collide with the wrapper, so
+		// sp.Plan stays nil) and are the body as they stand.
 		if err := json.Unmarshal(payload, &sp); err == nil && sp.Plan != nil {
-			return sp.Plan, sp.Request, nil
+			body, req = sp.Plan, sp.Request
 		}
 	}
-	v, err := decodeResult(kind, payload)
-	return v, nil, err
+	v, err := decodeResult(kind, body)
+	if err != nil {
+		return result{}, nil, err
+	}
+	return result{val: v, body: body}, req, nil
 }
 
 // decodeResult reverses encodeResult, reconstructing exactly the types
@@ -129,23 +141,20 @@ func decodeResult(kind string, payload []byte) (any, error) {
 	}
 }
 
-// persist appends a completed result to the WAL. Persistence is
+// persist appends a completed result's canonical bytes to the WAL; a
+// plan (creq non-nil) is wrapped with its canonical request. Its wall
+// time feeds the persist stage's quantile window. Persistence is
 // best-effort relative to serving — a failed append is counted in
 // metrics but never fails the request that computed the result.
-func (s *Service) persist(fp string, res any) {
+func (s *Service) persist(fp, kind string, body []byte, creq *PlanRequest) {
 	if s.store == nil {
 		return
 	}
-	kind, payload, err := encodeResult(res)
-	if err == nil && kind == kindPlan {
-		// Wrap plans with their canonical request (known for every plan the
-		// service itself computed — it was indexed on completion) so the
-		// similarity index rebuilds from the WAL on the next boot.
-		if creq, ok := s.simRequest(fp); ok {
-			if b, merr := json.Marshal(storedPlan{Request: &creq, Plan: res.(*topoopt.Plan)}); merr == nil {
-				payload = b
-			}
-		}
+	t0 := time.Now()
+	payload := body
+	var err error
+	if creq != nil {
+		payload, err = json.Marshal(storedPlan{Request: creq, Plan: body})
 	}
 	if err == nil {
 		err = s.store.wal.Append(wal.Record{Op: wal.OpPut, Kind: kind, Fp: fp, Payload: payload})
@@ -153,6 +162,7 @@ func (s *Service) persist(fp string, res any) {
 	if err != nil {
 		s.met.storeErrs.Add(1)
 	}
+	s.tel.ObserveStage(telemetry.StagePersist, time.Since(t0))
 }
 
 // journalJob records a queued async job so a restart can re-enqueue it;
@@ -198,13 +208,13 @@ func (s *Service) warmFromStore() {
 	for _, r := range s.store.wal.Records() {
 		switch r.Op {
 		case wal.OpPut:
-			v, req, err := decodeStored(r.Kind, r.Payload)
+			res, req, err := decodeStored(r.Kind, r.Payload)
 			if err != nil {
 				s.met.storeErrs.Add(1)
 				continue
 			}
 			s.mu.Lock()
-			s.cache.add(r.Fp, v)
+			s.cache.add(r.Fp, res)
 			if req != nil {
 				// Restart-warm similarity: the replayed plan re-joins the
 				// index, so near-miss requests warm-start across restarts.

@@ -63,6 +63,37 @@ func TestPlanJSONRoundTripByteStable(t *testing.T) {
 	}
 }
 
+// FuzzPlanWireRoundTrip checks the Plan wire format on arbitrary input:
+// decoding never panics, and any input that decodes re-encodes
+// byte-stably (Marshal → Unmarshal → Marshal). The planning service
+// serves stored plan bytes verbatim after a restart while in-process
+// readers use the decoded plan, so the two must agree. The committed
+// corpus under testdata/fuzz seeds it with a real dlrm n=32 d=4 plan.
+func FuzzPlanWireRoundTrip(f *testing.F) {
+	f.Add([]byte(`{"routes":[{"src":1,"dst":0,"path":[1,0]},{"src":0,"dst":1,"path":[0,1]},{"src":0,"dst":1,"path":null}],"circuits":[]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var p Plan
+		if json.Unmarshal(data, &p) != nil {
+			return
+		}
+		b1, err := json.Marshal(p)
+		if err != nil {
+			t.Fatalf("encoding a decoded plan: %v", err)
+		}
+		var q Plan
+		if err := json.Unmarshal(b1, &q); err != nil {
+			t.Fatalf("decoding an encoded plan: %v\n%s", err, b1)
+		}
+		b2, err := json.Marshal(q)
+		if err != nil {
+			t.Fatalf("re-encoding: %v", err)
+		}
+		if !bytes.Equal(b1, b2) {
+			t.Fatalf("marshal → unmarshal → marshal not byte-stable:\n%s\nvs\n%s", b1, b2)
+		}
+	})
+}
+
 // TestFleetSpecJSONRoundTripByteStable: the fleet wire format obeys the
 // same canonical-encoding contract as Plan — Marshal → Unmarshal →
 // Marshal is byte-stable, which is what lets the planning service
