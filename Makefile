@@ -67,13 +67,17 @@ serve-benchcheck:
 # The flexnet suite records the search engine AND the registry-dispatched
 # Compare sweep (BenchmarkCompare in the root package): the comparison
 # path is two map lookups per architecture on top of the searches, so the
-# recorded number is the guard that registry dispatch stays free.
+# recorded number is the guard that registry dispatch stays free. It also
+# records the two layers a cold plan spends its time in: one incremental
+# evaluation of a single-layer move (BenchmarkDeltaEval) and one
+# TopologyFinder call with its k-shortest MP routes
+# (BenchmarkTopologyFinder in internal/core).
 flexnet-bench:
-	$(GO) test ./internal/flexnet . -run '^$$' -bench 'BenchmarkMCMCSearch|^BenchmarkWarmReplan|^BenchmarkCompare$$' -benchmem -benchtime=$(BENCHTIME) \
+	$(GO) test ./internal/flexnet ./internal/core . -run '^$$' -bench 'BenchmarkMCMCSearch|^BenchmarkWarmReplan|^BenchmarkCompare$$|^BenchmarkDeltaEval$$|^BenchmarkTopologyFinder$$' -benchmem -benchtime=$(BENCHTIME) \
 		| $(GO) run ./cmd/benchdiff -out BENCH_flexnet.json
 
 flexnet-benchcheck:
-	$(GO) test ./internal/flexnet . -run '^$$' -bench 'BenchmarkMCMCSearch|^BenchmarkWarmReplan|^BenchmarkCompare$$' -benchmem -benchtime=$(BENCHTIME) \
+	$(GO) test ./internal/flexnet ./internal/core . -run '^$$' -bench 'BenchmarkMCMCSearch|^BenchmarkWarmReplan|^BenchmarkCompare$$|^BenchmarkDeltaEval$$|^BenchmarkTopologyFinder$$' -benchmem -benchtime=$(BENCHTIME) \
 		| $(GO) run ./cmd/benchdiff -check BENCH_flexnet.json $(BENCHDIFF_FLAGS)
 
 # The fleet suite records the cluster-scale simulator: two full scenario
@@ -135,16 +139,22 @@ slo-smoke:
 cluster-smoke:
 	bash scripts/cluster_smoke.sh
 
-# Short native-fuzzing pass (go test -fuzz, no downloads). The target is
-# FuzzPlanWireRoundTrip: Plan decoding never panics and Marshal →
-# Unmarshal → Marshal is byte-stable, which restart-warm cache hits rely
+# Short native-fuzzing pass (go test -fuzz, no downloads). The first
+# target is FuzzPlanWireRoundTrip: Plan decoding never panics and Marshal
+# → Unmarshal → Marshal is byte-stable, which restart-warm cache hits rely
 # on because they serve stored plan bytes verbatim. The seed corpus in
 # testdata/fuzz/ is a real ~52 KB dlrm n=32 plan; minimizing inputs
 # derived from it would take the whole budget, so minimization is capped.
-# A failing input is written to testdata/fuzz/ and becomes a regression
-# entry once committed.
+# The second is FuzzKShortestPaths: on arbitrary multigraphs with ties,
+# Yen's k-shortest paths, WeightedShortestPath and Dijkstra return exactly
+# what the container/heap reference kept in the test file returns, which
+# is what keeps every TopologyFinder route table byte-identical; its
+# minimization is capped the same way so the short budget goes to fuzzing.
+# A failing input is written to testdata/fuzz/ of the package and becomes
+# a regression entry once committed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanWireRoundTrip$$' -fuzztime 20s -fuzzminimizetime 2s .
+	$(GO) test -run '^$$' -fuzz '^FuzzKShortestPaths$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/graph
 
 # Short-benchtime pass over every recorded suite. Warn-only: CI runners
 # are noisy and 0.2s samples are for catching order-of-magnitude
@@ -167,7 +177,7 @@ bench-history:
 		| $(GO) run ./cmd/benchdiff -history BENCH_HISTORY.json -suite netsim -label '$(HISTORY_LABEL)'
 	$(GO) test ./internal/serve -run '^$$' -bench BenchmarkServe -benchmem -benchtime=$(BENCHTIME) \
 		| $(GO) run ./cmd/benchdiff -history BENCH_HISTORY.json -suite serve -label '$(HISTORY_LABEL)'
-	$(GO) test ./internal/flexnet . -run '^$$' -bench 'BenchmarkMCMCSearch|^BenchmarkWarmReplan|^BenchmarkCompare$$' -benchmem -benchtime=$(BENCHTIME) \
+	$(GO) test ./internal/flexnet ./internal/core . -run '^$$' -bench 'BenchmarkMCMCSearch|^BenchmarkWarmReplan|^BenchmarkCompare$$|^BenchmarkDeltaEval$$|^BenchmarkTopologyFinder$$' -benchmem -benchtime=$(BENCHTIME) \
 		| $(GO) run ./cmd/benchdiff -history BENCH_HISTORY.json -suite flexnet -label '$(HISTORY_LABEL)'
 	$(GO) test ./internal/fleet -run '^$$' -bench BenchmarkFleet -benchmem -benchtime=$(BENCHTIME) \
 		| $(GO) run ./cmd/benchdiff -history BENCH_HISTORY.json -suite fleet -label '$(HISTORY_LABEL)'

@@ -2,8 +2,10 @@ package flexnet
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
+	"topoopt/internal/core"
 	"topoopt/internal/model"
 	"topoopt/internal/parallel"
 	"topoopt/internal/topo"
@@ -89,4 +91,42 @@ func BenchmarkWarmReplan(b *testing.B) {
 			})
 		}
 	})
+}
+
+// BenchmarkDeltaEval is one incremental evaluation of a single-layer MCMC
+// move on the search-heavy case: dlrm (§5.3, 64 shardable tables) on a
+// 32-server, degree-4 TopologyFinder fabric. The moves are a precomputed
+// random walk that re-places one table on a random host per step, replayed
+// forward and back so that every evaluation differs from the previous
+// one in exactly one layer.
+func BenchmarkDeltaEval(b *testing.B) {
+	m := model.DLRMPreset(model.Sec53)
+	n := 32
+	dem, err := traffic.FromStrategy(m, parallel.Hybrid(m, n), m.BatchPerGPU)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tf, err := core.TopologyFinder(core.Config{N: n, D: 4, LinkBW: 100e9}, dem)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fab := NewTopoOptFabric(tf)
+	rng := rand.New(rand.NewSource(1))
+	shardable := m.ShardableLayers()
+	walk := []parallel.Strategy{parallel.Hybrid(m, n)}
+	for len(walk) < 128 {
+		s := walk[len(walk)-1].Clone()
+		s.PlaceShard(shardable[rng.Intn(len(shardable))], rng.Intn(n))
+		walk = append(walk, s)
+	}
+	for i := len(walk) - 2; i > 0; i-- {
+		walk = append(walk, walk[i])
+	}
+	de := NewDeltaEval(m, fab, m.BatchPerGPU, model.A100)
+	de.Eval(walk[len(walk)-1])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		de.Eval(walk[i%len(walk)])
+	}
 }

@@ -1,7 +1,5 @@
 package graph
 
-import "container/heap"
-
 // WeightFunc assigns a nonnegative traversal cost to an edge. The network
 // layers use it to bias routing away from loaded links.
 type WeightFunc func(Edge) float64
@@ -14,76 +12,147 @@ type dijkstraItem struct {
 	dist float64
 }
 
+// dijkstraHeap is a binary min-heap on dist. push and pop sift exactly as
+// container/heap's Push and Pop do, so equal-distance items leave in the
+// same order and ties between equal-cost paths resolve the same way.
 type dijkstraHeap []dijkstraItem
 
-func (h dijkstraHeap) Len() int            { return len(h) }
-func (h dijkstraHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
-func (h dijkstraHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *dijkstraHeap) Push(x interface{}) { *h = append(*h, x.(dijkstraItem)) }
-func (h *dijkstraHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+func (h *dijkstraHeap) push(it dijkstraItem) {
+	q := append(*h, it)
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !(q[j].dist < q[i].dist) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+	*h = q
 }
 
-// Dijkstra computes weighted shortest-path distances from src under w.
-// Unreachable nodes get dist +Inf represented as -1 in reach[] being false.
-func (g *Graph) Dijkstra(src int, w WeightFunc) (dist []float64, parentEdge []int) {
-	g.checkNode(src)
-	const unreached = -1.0
-	dist = make([]float64, g.n)
-	parentEdge = make([]int, g.n)
-	done := make([]bool, g.n)
-	for i := range dist {
-		dist[i] = unreached
-		parentEdge[i] = -1
+func (h *dijkstraHeap) pop() dijkstraItem {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].dist < q[j].dist {
+			j = j2
+		}
+		if !(q[j].dist < q[i].dist) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
 	}
-	dist[src] = 0
-	h := &dijkstraHeap{{src, 0}}
-	for h.Len() > 0 {
-		it := heap.Pop(h).(dijkstraItem)
+	*h = q[:n]
+	return q[n]
+}
+
+// pathSearch is Dijkstra's state on one graph, reused across the searches
+// of one KShortestPaths call. Edges marked in bannedEdge and edges into
+// nodes marked in bannedNode are not traversed.
+type pathSearch struct {
+	g          *Graph
+	dist       []float64 // -1 while unreached
+	parent     []int     // edge that last lowered dist, -1 for none
+	done       []bool
+	heap       dijkstraHeap
+	bannedEdge []bool
+	bannedNode []bool
+}
+
+func (g *Graph) newPathSearch() *pathSearch {
+	return &pathSearch{
+		g:          g,
+		dist:       make([]float64, g.n),
+		parent:     make([]int, g.n),
+		done:       make([]bool, g.n),
+		bannedEdge: make([]bool, len(g.edges)),
+		bannedNode: make([]bool, g.n),
+	}
+}
+
+// run computes distances from src under w, stopping once dst is settled
+// (dst < 0 settles every reachable node). Stopping early is exact: with
+// nonnegative weights every node popped after dst has dist ≥ dist[dst],
+// so the strict < relaxation never changes the parent of dst or of any
+// node on its path again.
+func (ps *pathSearch) run(src, dst int, w WeightFunc) {
+	g := ps.g
+	for i := range ps.dist {
+		ps.dist[i] = -1
+		ps.parent[i] = -1
+		ps.done[i] = false
+	}
+	ps.dist[src] = 0
+	h := append(ps.heap[:0], dijkstraItem{src, 0})
+	for len(h) > 0 {
+		it := h.pop()
 		v := it.node
-		if done[v] {
+		if ps.done[v] {
 			continue
 		}
-		done[v] = true
+		ps.done[v] = true
+		if v == dst {
+			break
+		}
 		for _, id := range g.out[v] {
 			e := g.edges[id]
+			if ps.bannedEdge[id] || ps.bannedNode[e.To] {
+				continue
+			}
 			nd := it.dist + w(e)
-			if dist[e.To] < 0 || nd < dist[e.To] {
-				dist[e.To] = nd
-				parentEdge[e.To] = id
-				heap.Push(h, dijkstraItem{e.To, nd})
+			if ps.dist[e.To] < 0 || nd < ps.dist[e.To] {
+				ps.dist[e.To] = nd
+				ps.parent[e.To] = id
+				h.push(dijkstraItem{e.To, nd})
 			}
 		}
 	}
-	return dist, parentEdge
+	ps.heap = h
+}
+
+// shortest returns a minimum-cost path from src to dst, or nil if dst is
+// unreachable.
+func (ps *pathSearch) shortest(src, dst int, w WeightFunc) Path {
+	if src == dst {
+		return Path{}
+	}
+	ps.run(src, dst, w)
+	if ps.dist[dst] < 0 {
+		return nil
+	}
+	hops := 0
+	for v := dst; v != src; v = ps.g.edges[ps.parent[v]].From {
+		hops++
+	}
+	p := make(Path, hops)
+	for v := dst; v != src; v = ps.g.edges[ps.parent[v]].From {
+		hops--
+		p[hops] = ps.parent[v]
+	}
+	return p
+}
+
+// Dijkstra computes weighted shortest-path distances from src under w.
+// Unreachable nodes get dist -1 and parentEdge -1.
+func (g *Graph) Dijkstra(src int, w WeightFunc) (dist []float64, parentEdge []int) {
+	g.checkNode(src)
+	ps := g.newPathSearch()
+	ps.run(src, -1, w)
+	return ps.dist, ps.parent
 }
 
 // WeightedShortestPath returns a minimum-cost path under w, or nil if dst is
 // unreachable.
 func (g *Graph) WeightedShortestPath(src, dst int, w WeightFunc) Path {
+	g.checkNode(src)
 	g.checkNode(dst)
-	if src == dst {
-		return Path{}
-	}
-	dist, parent := g.Dijkstra(src, w)
-	if dist[dst] < 0 {
-		return nil
-	}
-	var rev []int
-	for v := dst; v != src; {
-		id := parent[v]
-		rev = append(rev, id)
-		v = g.edges[id].From
-	}
-	p := make(Path, len(rev))
-	for i := range rev {
-		p[i] = rev[len(rev)-1-i]
-	}
-	return p
+	return g.newPathSearch().shortest(src, dst, w)
 }
 
 // KShortestPaths returns up to k loopless shortest paths from src to dst in
@@ -93,7 +162,10 @@ func (g *Graph) KShortestPaths(src, dst, k int, w WeightFunc) []Path {
 	if k <= 0 {
 		return nil
 	}
-	first := g.WeightedShortestPath(src, dst, w)
+	g.checkNode(src)
+	g.checkNode(dst)
+	ps := g.newPathSearch()
+	first := ps.shortest(src, dst, w)
 	if first == nil {
 		return nil
 	}
@@ -110,27 +182,26 @@ func (g *Graph) KShortestPaths(src, dst, k int, w WeightFunc) []Path {
 		prev := paths[len(paths)-1]
 		prevNodes := prev.Nodes(g, src)
 		for i := 0; i < len(prev); i++ {
-			spurNode := prevNodes[i]
 			rootPath := prev[:i]
 			// Ban edges that would recreate already-found paths sharing
 			// this root, and ban root nodes to keep paths loopless.
-			banned := make(map[int]bool)
 			for _, p := range paths {
 				if len(p) > i && pathPrefixEq(p, rootPath) {
-					banned[p[i]] = true
+					ps.bannedEdge[p[i]] = true
 				}
 			}
-			bannedNode := make(map[int]bool)
 			for _, v := range prevNodes[:i] {
-				bannedNode[v] = true
+				ps.bannedNode[v] = true
 			}
-			wf := func(e Edge) float64 {
-				if banned[e.ID] || bannedNode[e.To] || bannedNode[e.From] {
-					return -1 // sentinel: handled below
+			spur := ps.shortest(prevNodes[i], dst, w)
+			for _, p := range paths {
+				if len(p) > i {
+					ps.bannedEdge[p[i]] = false
 				}
-				return w(e)
 			}
-			spur := g.filteredShortestPath(spurNode, dst, wf)
+			for _, v := range prevNodes[:i] {
+				ps.bannedNode[v] = false
+			}
 			if spur == nil {
 				continue
 			}
@@ -155,59 +226,6 @@ func (g *Graph) KShortestPaths(src, dst, k int, w WeightFunc) []Path {
 	}
 	return paths
 }
-
-// filteredShortestPath is Dijkstra that skips edges whose weight function
-// returns a negative sentinel.
-func (g *Graph) filteredShortestPath(src, dst int, w WeightFunc) Path {
-	if src == dst {
-		return Path{}
-	}
-	dist := make([]float64, g.n)
-	parent := make([]int, g.n)
-	done := make([]bool, g.n)
-	for i := range dist {
-		dist[i] = -1
-		parent[i] = -1
-	}
-	dist[src] = 0
-	h := &dijkstraHeap{{src, 0}}
-	for h.Len() > 0 {
-		it := heap.Pop(h).(dijkstraItem)
-		v := it.node
-		if done[v] {
-			continue
-		}
-		done[v] = true
-		for _, id := range g.out[v] {
-			e := g.edges[id]
-			c := w(e)
-			if c < 0 {
-				continue
-			}
-			nd := it.dist + c
-			if dist[e.To] < 0 || nd < dist[e.To] {
-				dist[e.To] = nd
-				parent[e.To] = id
-				heap.Push(h, dijkstraItem{e.To, nd})
-			}
-		}
-	}
-	if dist[dst] < 0 {
-		return nil
-	}
-	var rev []int
-	for v := dst; v != src; {
-		id := parent[v]
-		rev = append(rev, id)
-		v = g.edges[id].From
-	}
-	p := make(Path, len(rev))
-	for i := range rev {
-		p[i] = rev[len(rev)-1-i]
-	}
-	return p
-}
-
 func pathPrefixEq(p, prefix Path) bool {
 	if len(p) < len(prefix) {
 		return false

@@ -9,7 +9,6 @@ package parallel
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"topoopt/internal/model"
 )
@@ -126,17 +125,22 @@ func (s Strategy) ShardedLayers() []int {
 // the job's world. Full-cluster strategies return [0..N); shard-scoped
 // strategies (HybridOn) return the shard members.
 func (s Strategy) Servers() []int {
-	seen := make(map[int]bool)
+	seen := make([]bool, s.N)
+	count := 0
 	for _, ls := range s.Layers {
 		for _, v := range ls.Group {
-			seen[v] = true
+			if !seen[v] {
+				seen[v] = true
+				count++
+			}
 		}
 	}
-	out := make([]int, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
+	out := make([]int, 0, count)
+	for v, ok := range seen {
+		if ok {
+			out = append(out, v)
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -228,6 +232,7 @@ func (s *Strategy) Replicate(li int, group ...int) {
 // lookup/compute for the whole global batch divided across shard hosts.
 func (s Strategy) ComputeTimes(m *model.Model, gpu model.GPU, batchPerGPU int) []float64 {
 	times := make([]float64, s.N)
+	consumers := 0 // len(s.Servers()), counted at the first sharded layer
 	for i, ls := range s.Layers {
 		l := m.Layers[i]
 		switch ls.Kind {
@@ -239,7 +244,10 @@ func (s Strategy) ComputeTimes(m *model.Model, gpu model.GPU, batchPerGPU int) [
 		case Sharded:
 			// Each shard host serves the global batch of every consumer;
 			// roofline on activation traffic plus its share of the weights.
-			globalBatch := batchPerGPU * len(s.Servers())
+			if consumers == 0 {
+				consumers = len(s.Servers())
+			}
+			globalBatch := batchPerGPU * consumers
 			perHost := model.Layer{
 				Name:              l.Name,
 				Kind:              l.Kind,

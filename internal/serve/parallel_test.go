@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -59,7 +60,10 @@ func TestChainBudget(t *testing.T) {
 // workout the CI race job runs: several clients request genuinely
 // parallel searches (Parallelism > 1, real optimizer), half of them get
 // cancelled mid-flight, and the service must neither deadlock nor panic,
-// and must still answer the surviving clients correctly.
+// and must still answer the surviving clients correctly. The cancelled
+// clients carry no deadline: admission sheds deadline-carrying requests it
+// predicts will miss (see the shed tests), and that must not be mistaken
+// for a cancellation failure here.
 func TestConcurrentParallelPlansUnderCancellation(t *testing.T) {
 	s := New(Config{Workers: 2, QueueLen: 32, SearchThreads: 4})
 	defer s.Close()
@@ -77,8 +81,9 @@ func TestConcurrentParallelPlansUnderCancellation(t *testing.T) {
 			ctx := context.Background()
 			if i%2 == 0 {
 				var cancel context.CancelFunc
-				ctx, cancel = context.WithTimeout(ctx, 5*time.Millisecond)
+				ctx, cancel = context.WithCancel(ctx)
 				defer cancel()
+				defer time.AfterFunc(5*time.Millisecond, cancel).Stop()
 			}
 			_, _, _, errs[i] = s.Plan(ctx, req)
 		}(i)
@@ -94,7 +99,7 @@ func TestConcurrentParallelPlansUnderCancellation(t *testing.T) {
 		if i%2 == 1 && err != nil {
 			t.Errorf("uncancelled client %d failed: %v", i, err)
 		}
-		if i%2 == 0 && err != nil && err != context.DeadlineExceeded {
+		if i%2 == 0 && err != nil && !errors.Is(err, context.Canceled) {
 			t.Errorf("cancelled client %d: unexpected error %v", i, err)
 		}
 	}
