@@ -68,16 +68,17 @@ serve-benchcheck:
 # Compare sweep (BenchmarkCompare in the root package): the comparison
 # path is two map lookups per architecture on top of the searches, so the
 # recorded number is the guard that registry dispatch stays free. It also
-# records the two layers a cold plan spends its time in: one incremental
-# evaluation of a single-layer move (BenchmarkDeltaEval) and one
-# TopologyFinder call with its k-shortest MP routes
-# (BenchmarkTopologyFinder in internal/core).
+# records the layers a cold plan spends its time in: one incremental
+# evaluation of a single-layer move (BenchmarkDeltaEval), one
+# TopologyFinder call with its per-source MP routes
+# (BenchmarkTopologyFinder in internal/core) and the demand derivation
+# both start from (BenchmarkFromStrategy in internal/traffic).
 flexnet-bench:
-	$(GO) test ./internal/flexnet ./internal/core . -run '^$$' -bench 'BenchmarkMCMCSearch|^BenchmarkWarmReplan|^BenchmarkCompare$$|^BenchmarkDeltaEval$$|^BenchmarkTopologyFinder$$' -benchmem -benchtime=$(BENCHTIME) \
+	$(GO) test ./internal/flexnet ./internal/core ./internal/traffic . -run '^$$' -bench 'BenchmarkMCMCSearch|^BenchmarkWarmReplan|^BenchmarkCompare$$|^BenchmarkDeltaEval$$|^BenchmarkTopologyFinder$$|^BenchmarkFromStrategy$$' -benchmem -benchtime=$(BENCHTIME) \
 		| $(GO) run ./cmd/benchdiff -out BENCH_flexnet.json
 
 flexnet-benchcheck:
-	$(GO) test ./internal/flexnet ./internal/core . -run '^$$' -bench 'BenchmarkMCMCSearch|^BenchmarkWarmReplan|^BenchmarkCompare$$|^BenchmarkDeltaEval$$|^BenchmarkTopologyFinder$$' -benchmem -benchtime=$(BENCHTIME) \
+	$(GO) test ./internal/flexnet ./internal/core ./internal/traffic . -run '^$$' -bench 'BenchmarkMCMCSearch|^BenchmarkWarmReplan|^BenchmarkCompare$$|^BenchmarkDeltaEval$$|^BenchmarkTopologyFinder$$|^BenchmarkFromStrategy$$' -benchmem -benchtime=$(BENCHTIME) \
 		| $(GO) run ./cmd/benchdiff -check BENCH_flexnet.json $(BENCHDIFF_FLAGS)
 
 # The fleet suite records the cluster-scale simulator: two full scenario
@@ -177,7 +178,7 @@ bench-history:
 		| $(GO) run ./cmd/benchdiff -history BENCH_HISTORY.json -suite netsim -label '$(HISTORY_LABEL)'
 	$(GO) test ./internal/serve -run '^$$' -bench BenchmarkServe -benchmem -benchtime=$(BENCHTIME) \
 		| $(GO) run ./cmd/benchdiff -history BENCH_HISTORY.json -suite serve -label '$(HISTORY_LABEL)'
-	$(GO) test ./internal/flexnet ./internal/core . -run '^$$' -bench 'BenchmarkMCMCSearch|^BenchmarkWarmReplan|^BenchmarkCompare$$|^BenchmarkDeltaEval$$|^BenchmarkTopologyFinder$$' -benchmem -benchtime=$(BENCHTIME) \
+	$(GO) test ./internal/flexnet ./internal/core ./internal/traffic . -run '^$$' -bench 'BenchmarkMCMCSearch|^BenchmarkWarmReplan|^BenchmarkCompare$$|^BenchmarkDeltaEval$$|^BenchmarkTopologyFinder$$|^BenchmarkFromStrategy$$' -benchmem -benchtime=$(BENCHTIME) \
 		| $(GO) run ./cmd/benchdiff -history BENCH_HISTORY.json -suite flexnet -label '$(HISTORY_LABEL)'
 	$(GO) test ./internal/fleet -run '^$$' -bench BenchmarkFleet -benchmem -benchtime=$(BENCHTIME) \
 		| $(GO) run ./cmd/benchdiff -history BENCH_HISTORY.json -suite fleet -label '$(HISTORY_LABEL)'

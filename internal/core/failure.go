@@ -53,7 +53,6 @@ func FailLink(res *Result, from, to int, borrowMP bool) (*Result, error) {
 	nres := &Result{
 		Network:         &topo.Network{G: ng, Hosts: res.Network.Hosts, ForwardingHosts: true, Name: res.Network.Name},
 		Rings:           res.Rings,
-		MPPaths:         res.MPPaths,
 		DegreeAllReduce: res.DegreeAllReduce,
 		DegreeMP:        res.DegreeMP,
 	}

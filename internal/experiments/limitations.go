@@ -144,7 +144,7 @@ func ExtRoutingTE(p Params) string {
 		return b.String() + "error: " + err.Error()
 	}
 	for _, d := range []int{4, 8} {
-		tf, err := core.TopologyFinder(core.Config{N: n, D: d, LinkBW: 100e9, KShortest: 3}, dem)
+		tf, err := core.TopologyFinder(core.Config{N: n, D: d, LinkBW: 100e9}, dem)
 		if err != nil {
 			return b.String() + "error: " + err.Error()
 		}
@@ -160,7 +160,15 @@ func ExtRoutingTE(p Params) string {
 		}
 		singleMean := sum / float64(len(loads))
 		// TE over the k-shortest candidates.
-		res, err := route.Balance(dem.MP, tf.MPPaths, 2000)
+		cands := make(map[[2]int][][]int)
+		for s := range dem.MP {
+			for dst, v := range dem.MP[s] {
+				if v != 0 && s != dst {
+					cands[[2]int{s, dst}] = route.KShortest(tf.Network.G, s, dst, 3)
+				}
+			}
+		}
+		res, err := route.Balance(dem.MP, cands, 2000)
 		if err != nil {
 			return b.String() + "error: " + err.Error()
 		}

@@ -123,17 +123,30 @@ func (ps *pathSearch) shortest(src, dst int, w WeightFunc) Path {
 		return Path{}
 	}
 	ps.run(src, dst, w)
-	if ps.dist[dst] < 0 {
+	return ps.g.TreePath(ps.parent, src, dst)
+}
+
+// TreePath reads the path from src to dst out of a shortest-path tree
+// rooted at src, given as the parentEdge slice Dijkstra or BFS returns.
+// It returns nil if dst is unreachable and an empty path if dst == src.
+// A Dijkstra tree grown from src to every node holds the same path to
+// each dst as a search that stops once dst is settled (see run), so one
+// tree per source answers every WeightedShortestPath(src, ·) query.
+func (g *Graph) TreePath(parentEdge []int, src, dst int) Path {
+	if src == dst {
+		return Path{}
+	}
+	if parentEdge[dst] < 0 {
 		return nil
 	}
 	hops := 0
-	for v := dst; v != src; v = ps.g.edges[ps.parent[v]].From {
+	for v := dst; v != src; v = g.edges[parentEdge[v]].From {
 		hops++
 	}
 	p := make(Path, hops)
-	for v := dst; v != src; v = ps.g.edges[ps.parent[v]].From {
+	for v := dst; v != src; v = g.edges[parentEdge[v]].From {
 		hops--
-		p[hops] = ps.parent[v]
+		p[hops] = parentEdge[v]
 	}
 	return p
 }

@@ -181,7 +181,8 @@ type Path []int
 
 // Nodes expands a path starting at src into the node sequence it visits.
 func (p Path) Nodes(g *Graph, src int) []int {
-	nodes := []int{src}
+	nodes := make([]int, 1, len(p)+1)
+	nodes[0] = src
 	at := src
 	for _, id := range p {
 		e := g.Edge(id)

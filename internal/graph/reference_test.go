@@ -243,6 +243,31 @@ func checkAgainstReference(t *testing.T, g *Graph, src, dst, k int, w WeightFunc
 	}
 }
 
+// checkTreeAgainstSearch fails t unless, for every dst, the path read
+// from src's full Dijkstra tree is the first of KShortestPaths(src, dst)
+// (and of the reference), as TopologyFinder's per-source routes assume.
+func checkTreeAgainstSearch(t *testing.T, g *Graph, src int, w WeightFunc) {
+	t.Helper()
+	_, parent := g.Dijkstra(src, w)
+	for dst := 0; dst < g.N(); dst++ {
+		got := g.TreePath(parent, src, dst)
+		var want Path
+		if paths := g.KShortestPaths(src, dst, 1, w); len(paths) > 0 {
+			want = paths[0]
+		}
+		if !equalPath(got, want) {
+			t.Fatalf("TreePath(%d, %d) on %v\n got %v\nwant %v", src, dst, g.edges, got, want)
+		}
+		var ref Path
+		if paths := refKShortestPaths(g, src, dst, 1, w); len(paths) > 0 {
+			ref = paths[0]
+		}
+		if !equalPath(got, ref) {
+			t.Fatalf("TreePath(%d, %d) on %v\n got %v\nreference %v", src, dst, g.edges, got, ref)
+		}
+	}
+}
+
 func equalPath(a, b Path) bool {
 	if (a == nil) != (b == nil) || len(a) != len(b) {
 		return false
@@ -267,12 +292,18 @@ func TestKShortestPathsMatchesReference(t *testing.T) {
 				checkAgainstReference(t, g, src, dst, k, capWeight)
 			}
 		}
+		// Per source: one full tree answers every destination.
+		for src := 0; src < n; src++ {
+			checkTreeAgainstSearch(t, g, src, UnitWeight)
+			checkTreeAgainstSearch(t, g, src, capWeight)
+		}
 	}
 }
 
 // FuzzKShortestPaths decodes a multigraph from bytes (node count, then
 // from/to/weight triples) and checks KShortestPaths, WeightedShortestPath
-// and Dijkstra against the reference implementation.
+// and Dijkstra against the reference implementation, and the path read
+// from src's full Dijkstra tree to every node against KShortestPaths.
 func FuzzKShortestPaths(f *testing.F) {
 	f.Add([]byte{4, 0, 1, 1, 1, 2, 1, 0, 2, 2, 2, 3, 0, 1, 3, 1, 0, 3, 2}, uint8(0), uint8(3), uint8(4))
 	f.Add([]byte{3, 0, 1, 0, 0, 1, 0, 1, 2, 0, 0, 2, 0}, uint8(0), uint8(2), uint8(3))
@@ -292,5 +323,7 @@ func FuzzKShortestPaths(f *testing.F) {
 		}
 		checkAgainstReference(t, g, int(src)%n, int(dst)%n, int(k)%6, capWeight)
 		checkAgainstReference(t, g, int(src)%n, int(dst)%n, int(k)%6, UnitWeight)
+		checkTreeAgainstSearch(t, g, int(src)%n, UnitWeight)
+		checkTreeAgainstSearch(t, g, int(src)%n, capWeight)
 	})
 }

@@ -1,7 +1,9 @@
 // Package route computes routing rules for TopoOpt fabrics: the modified
 // coin-change routing over the AllReduce sub-topology (Algorithm 4 /
-// Appendix E.1 of the paper) and k-shortest-path routing for MP transfers
-// over the combined topology (Algorithm 1, line 20).
+// Appendix E.1 of the paper), the routing table that also holds the MP
+// transfers' shortest paths over the combined topology (Algorithm 1,
+// line 20), and k-shortest candidates with min-max traffic engineering
+// for the §5.5 multipath extension.
 //
 // Coin-change routing treats the selected ring generation rules p1..pd as
 // coin denominations in the cyclic group Z_n: the hop sequence from server
@@ -124,7 +126,8 @@ func (cc *CoinChange) Hops(d int) int {
 // ring link of the AllReduce sub-topology.
 func (cc *CoinChange) Route(src, dst int) []int {
 	d := ((dst-src)%cc.n + cc.n) % cc.n
-	nodes := []int{src}
+	nodes := make([]int, 1, len(cc.seq[d])+1)
+	nodes[0] = src
 	at := src
 	for _, c := range cc.seq[d] {
 		at = (at + c) % cc.n
@@ -146,55 +149,57 @@ func (cc *CoinChange) MaxHops() int {
 	return max
 }
 
-// Table maps src -> dst -> node path (inclusive of both endpoints). A nil
-// entry means "no route computed"; same-node entries are single-element
-// paths.
+// Table maps (src, dst) to a node path (inclusive of both endpoints). A
+// nil entry means "no route computed"; same-node entries are
+// single-element paths. Paths live in one dense slice indexed src*n+dst.
 type Table struct {
 	n     int
-	paths map[int]map[int][]int
+	paths [][]int
+	count int
 }
 
 // NewTable returns an empty routing table for n nodes.
 func NewTable(n int) *Table {
-	return &Table{n: n, paths: make(map[int]map[int][]int)}
+	return &Table{n: n, paths: make([][]int, n*n)}
 }
 
 // Set installs the node path for (src, dst). The path must start at src
-// and end at dst.
+// and end at dst, and both must be nodes of the table.
 func (t *Table) Set(src, dst int, nodes []int) {
 	if len(nodes) == 0 || nodes[0] != src || nodes[len(nodes)-1] != dst {
 		panic(fmt.Sprintf("route: invalid path %v for %d->%d", nodes, src, dst))
 	}
-	m := t.paths[src]
-	if m == nil {
-		m = make(map[int][]int)
-		t.paths[src] = m
+	if !t.in(src, dst) {
+		panic(fmt.Sprintf("route: pair %d->%d out of range [0,%d)", src, dst, t.n))
 	}
-	m[dst] = nodes
+	i := src*t.n + dst
+	if t.paths[i] == nil {
+		t.count++
+	}
+	t.paths[i] = nodes
 }
 
-// Get returns the installed node path for (src, dst), or nil.
+// Get returns the installed node path for (src, dst), or nil (also for a
+// pair outside the table).
 func (t *Table) Get(src, dst int) []int {
 	if src == dst {
 		return []int{src}
 	}
-	if m := t.paths[src]; m != nil {
-		return m[dst]
+	if !t.in(src, dst) {
+		return nil
 	}
-	return nil
+	return t.paths[src*t.n+dst]
+}
+
+func (t *Table) in(src, dst int) bool {
+	return src >= 0 && src < t.n && dst >= 0 && dst < t.n
 }
 
 // N returns the node count the table was built for.
 func (t *Table) N() int { return t.n }
 
 // PairCount returns the number of (src,dst) pairs with installed routes.
-func (t *Table) PairCount() int {
-	c := 0
-	for _, m := range t.paths {
-		c += len(m)
-	}
-	return c
-}
+func (t *Table) PairCount() int { return t.count }
 
 // FromCoinChange fills the table with coin-change routes for all ordered
 // pairs.
@@ -213,9 +218,15 @@ func (t *Table) FromCoinChange(cc *CoinChange) {
 // not already present. Used for MP transfers on the combined topology.
 func (t *Table) FillShortestPaths(g *graph.Graph) {
 	for s := 0; s < t.n; s++ {
-		dist, parent := g.BFS(s)
+		var dist, parent []int
 		for d := 0; d < t.n; d++ {
-			if s == d || t.Get(s, d) != nil || dist[d] < 0 {
+			if s == d || t.paths[s*t.n+d] != nil {
+				continue
+			}
+			if dist == nil {
+				dist, parent = g.BFS(s)
+			}
+			if dist[d] < 0 {
 				continue
 			}
 			var rev []int
@@ -234,8 +245,8 @@ func (t *Table) FillShortestPaths(g *graph.Graph) {
 }
 
 // KShortest computes up to k loopless shortest paths between src and dst on
-// g and returns them as node paths; MP routing spreads flows across them in
-// round-robin (§5.5 notes the residual load imbalance this leaves).
+// g and returns them as node paths: the candidates Balance spreads MP
+// traffic over (§5.5 notes the load imbalance single-path routing leaves).
 func KShortest(g *graph.Graph, src, dst, k int) [][]int {
 	paths := g.KShortestPaths(src, dst, k, graph.UnitWeight)
 	out := make([][]int, 0, len(paths))

@@ -46,7 +46,7 @@ var (
 )
 
 // largePlan computes the plan for largeRequest once per test binary.
-func largePlan(b *testing.B) *topoopt.Plan {
+func largePlan(b testing.TB) *topoopt.Plan {
 	largePlanOnce.Do(func() {
 		req := largeRequest()
 		m, err := req.Model.Resolve()
@@ -179,14 +179,20 @@ func BenchmarkServeFingerprint(b *testing.B) {
 	}
 }
 
-// BenchmarkServePlanEncode measures serializing a realistic Plan: the
-// one encode a completed plan flight pays, whose bytes every later cache
-// hit and the WAL record reuse.
+// BenchmarkServePlanEncode measures what Service.finish pays to encode
+// a completed plan flight: the one canonical encode (encodeResult),
+// whose bytes every later cache hit reuses, plus the WAL payload
+// persist splices around them (wrapPlan).
 func BenchmarkServePlanEncode(b *testing.B) {
 	plan := stubPlan(b)
+	req := testRequest(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := json.Marshal(plan); err != nil {
+		_, body, err := encodeResult(plan)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := wrapPlan(&req, body); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"net/http"
@@ -132,6 +133,43 @@ func TestCachedResponseBytesGolden(t *testing.T) {
 		t.Fatalf("forwarded hit: status %d, owner header %q", resp.StatusCode, resp.Header.Get(OwnerHeader))
 	}
 	checkGolden(t, "plan_hit.json", raw)
+}
+
+// TestPlanEncodeMatchesMarshal pins the two encodes Service.finish
+// skips: a plan's body is what json.Marshal returns for it, and the
+// spliced WAL payload is what json.Marshal returns for its storedPlan
+// wrapper, byte for byte.
+func TestPlanEncodeMatchesMarshal(t *testing.T) {
+	cases := []struct {
+		plan *topoopt.Plan
+		req  PlanRequest
+	}{
+		{stubPlan(t), testRequest(1)},
+		{largePlan(t), largeRequest()},
+	}
+	for _, c := range cases {
+		_, body, err := encodeResult(c.plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(c.plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, want) {
+			t.Fatalf("encodeResult differs from json.Marshal\ngot:  %s\nwant: %s", body, want)
+		}
+		got, err := wrapPlan(&c.req, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, err = json.Marshal(storedPlan{Request: &c.req, Plan: body}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("wrapPlan differs from json.Marshal\ngot:  %s\nwant: %s", got, want)
+		}
+	}
 }
 
 // TestLegacyBarePlanRecordWarmsByteIdentical pins the read side of the

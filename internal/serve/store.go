@@ -58,7 +58,10 @@ func (st *Store) Len() int { return st.wal.Len() }
 func encodeResult(res any) (kind string, body []byte, err error) {
 	switch v := res.(type) {
 	case *topoopt.Plan:
-		kind = kindPlan
+		// MarshalJSON's output is already compact and HTML-escaped, so it
+		// is exactly what json.Marshal would return after re-compacting it.
+		body, err = v.MarshalJSON()
+		return kindPlan, body, err
 	case []topoopt.CompareResult:
 		kind = kindCompare
 	case *topoopt.FleetResult:
@@ -141,6 +144,22 @@ func decodeResult(kind string, payload []byte) (any, error) {
 	}
 }
 
+// wrapPlan returns the storedPlan record for a plan's canonical body,
+// byte for byte what json.Marshal(storedPlan{Request: creq, Plan: body})
+// returns, built by splicing rather than by re-compacting the body.
+func wrapPlan(creq *PlanRequest, body []byte) ([]byte, error) {
+	req, err := json.Marshal(creq)
+	if err != nil {
+		return nil, err
+	}
+	b := make([]byte, 0, len(`{"request":,"plan":}`)+len(req)+len(body))
+	b = append(b, `{"request":`...)
+	b = append(b, req...)
+	b = append(b, `,"plan":`...)
+	b = append(b, body...)
+	return append(b, '}'), nil
+}
+
 // persist appends a completed result's canonical bytes to the WAL; a
 // plan (creq non-nil) is wrapped with its canonical request. Its wall
 // time feeds the persist stage's quantile window. Persistence is
@@ -154,7 +173,7 @@ func (s *Service) persist(fp, kind string, body []byte, creq *PlanRequest) {
 	payload := body
 	var err error
 	if creq != nil {
-		payload, err = json.Marshal(storedPlan{Request: creq, Plan: body})
+		payload, err = wrapPlan(creq, body)
 	}
 	if err == nil {
 		err = s.store.wal.Append(wal.Record{Op: wal.OpPut, Kind: kind, Fp: fp, Payload: payload})

@@ -6,8 +6,8 @@
 package traffic
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 
 	"topoopt/internal/model"
 	"topoopt/internal/parallel"
@@ -193,10 +193,20 @@ func FromStrategy(m *model.Model, st parallel.Strategy, batchPerGPU int) (Demand
 	return d, nil
 }
 
+// groupKey renders the sorted members as fmt.Sprint would ("[a b c]"),
+// so the sorted key order, and with it Demand.Groups, is fixed.
 func groupKey(g []int) string {
 	s := append([]int(nil), g...)
 	sort.Ints(s)
-	return fmt.Sprint(s)
+	b := make([]byte, 0, 2+4*len(s))
+	b = append(b, '[')
+	for i, v := range s {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return string(append(b, ']'))
 }
 
 // CombinedMatrix renders the demand into one concrete traffic matrix,

@@ -1,6 +1,9 @@
 package traffic
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"topoopt/internal/model"
@@ -162,5 +165,41 @@ func TestCombinedMatrixRingDiagonal(t *testing.T) {
 	}
 	if tm.Total() != 8*per {
 		t.Errorf("total = %d, want %d", tm.Total(), 8*per)
+	}
+}
+
+// TestGroupKeyMatchesSprint pins groupKey to fmt.Sprint of the sorted
+// members, the key it replaced: Demand.Groups is ordered by these keys.
+func TestGroupKeyMatchesSprint(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		g := make([]int, rng.Intn(20))
+		for i := range g {
+			g[i] = rng.Intn([]int{10, 128, 100000}[rng.Intn(3)])
+		}
+		orig := append([]int(nil), g...)
+		sorted := append([]int(nil), g...)
+		sort.Ints(sorted)
+		if got, want := groupKey(g), fmt.Sprint(sorted); got != want {
+			t.Fatalf("groupKey(%v) = %q, want %q", g, got, want)
+		}
+		for i := range g {
+			if g[i] != orig[i] {
+				t.Fatalf("groupKey reordered its argument: %v, was %v", g, orig)
+			}
+		}
+	}
+}
+
+// BenchmarkFromStrategy derives the demand a cold plan starts from: dlrm
+// (§5.3) under the hybrid strategy on 32 servers.
+func BenchmarkFromStrategy(b *testing.B) {
+	m := model.DLRMPreset(model.Sec53)
+	st := parallel.Hybrid(m, 32)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := FromStrategy(m, st, m.BatchPerGPU); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
